@@ -12,7 +12,7 @@ from .ddf import (Ddf, ddf_leq, ddf_leq_witness, left_limit_of_infimum,
 from .discont import (DiscontinuityEstimate, LimitSet, Piece, PiecewiseMap1D,
                       RouteComparison, SampledMap, compare_discontinuity_routes,
                       constant_map, convex_hull, discontinuity_estimate,
-                      discontinuity_exact, limit_set)
+                      discontinuity_exact, discontinuity_measure, limit_set)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import (FixPointReport, KakutaniResult, find_approx_fixed_point,
                        kakutani_search, verify_approx_fixed_point)
@@ -37,7 +37,8 @@ __all__ = [
     "check_pairwise_image_separation",
     "Piece", "PiecewiseMap1D", "SampledMap", "LimitSet", "limit_set",
     "convex_hull", "constant_map", "discontinuity_exact",
-    "discontinuity_estimate", "DiscontinuityEstimate", "RouteComparison",
+    "discontinuity_estimate", "discontinuity_measure", "DiscontinuityEstimate",
+    "RouteComparison",
     "compare_discontinuity_routes",
     "FixPointReport", "KakutaniResult", "find_approx_fixed_point",
     "kakutani_search", "verify_approx_fixed_point",

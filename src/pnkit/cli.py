@@ -8,8 +8,7 @@ scenario_id, t, psi_t, residual_t, dominance.
 Exit codes: 0 success, 2 validation or configuration error, 3 an
 existence guarantee failed on this run (kept distinct so CI can tell a
 broken invariant from a broken config).  Reports are byte-identical
-across runs with the same config and seed; scenario batches fan out
-over at most PNKIT_THREADS workers and merge in scenario order.
+across runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +28,7 @@ from .ddf import Ddf, make_epsilon, sibley_distance
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
                       DEFAULT_T_GRID, Piece, PiecewiseMap1D, SampledMap,
                       _validate_descending, discontinuity_estimate,
-                      discontinuity_exact)
+                      discontinuity_exact, discontinuity_measure)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import find_approx_fixed_point, kakutani_search, verify_approx_fixed_point
 from .neighborhoods import PointSet, default_tprime_schedule, prob_diameter, strong_t_continuity_test
@@ -76,11 +73,25 @@ class ScenarioFamily:
     def from_json_obj(cls, obj: dict) -> "ScenarioFamily":
         if not isinstance(obj, dict) or "count" not in obj:
             raise InvalidArgumentError("scenarios spec must be an object with at least 'count'")
-        return cls(count=int(obj["count"]),
-                   pieces=tuple(obj.get("pieces", (1, 5))),
-                   values=tuple(obj.get("values", (0.0, 1.0))),
+        return cls(count=_convert("scenarios.count", int, obj["count"]),
+                   pieces=_convert("scenarios.pieces", lambda v: _pair(v, int),
+                                   obj.get("pieces", (1, 5))),
+                   values=_convert("scenarios.values", _pair, obj.get("values", (0.0, 1.0))),
                    kind=obj.get("kind", "constant"),
-                   domain=tuple(obj.get("domain", (0.0, 1.0))))
+                   domain=_convert("scenarios.domain", _pair, obj.get("domain", (0.0, 1.0))))
+
+
+def _convert(field: str, conv, value):
+    """conv(value), failing with a validation error that names the field."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{field}: {exc}") from exc
+
+
+def _pair(value, conv=float) -> tuple:
+    lo, hi = value
+    return conv(lo), conv(hi)
 
 
 def _draw_breakpoints(rng: np.random.Generator, lo: float, hi: float, n: int) -> list[float]:
@@ -164,14 +175,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise InvalidArgumentError("config must be a JSON object")
     try:
         space = PnSpace.from_json_obj(raw["space"]) if "space" in raw else PnSpace(dimension=1)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"space: {exc}") from exc
 
     mp = None
     if "map" in raw:
         try:
             mp = _parse_map_spec(raw["map"])
-        except InvalidArgumentError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"map: {exc}") from exc
 
     fam = None
@@ -180,7 +191,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _convert("seed", int, seed)
     if fam is not None and seed is None:
         raise InvalidArgumentError("seed: required whenever a scenario generator is used")
 
@@ -233,19 +244,6 @@ def parse_ddf_spec(spec: str) -> Ddf:
 # ---------------------------------------------------------------------------
 # verify pipeline
 
-def _threads() -> int:
-    raw = os.environ.get("PNKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"PNKIT_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise InvalidArgumentError(f"PNKIT_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
 def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[list]]:
     """Run the full verification pipeline for the configured map or
     scenario batch; returns (report, csv_rows)."""
@@ -258,24 +256,13 @@ def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[list]]:
     else:
         maps = generate_scenarios(cfg.scenarios, cfg.seed)
 
-    def one(item):
-        idx, m = item
-        rep = verify_approx_fixed_point(
-            cfg.space, m,
-            search_h=min(cfg.grid_resolutions),
-            t_grid=cfg.t_grid,
-            delta_schedule=cfg.delta_schedule,
-            grid_resolutions=cfg.grid_resolutions)
+    scenario_reports = []
+    for idx, m in enumerate(maps):
+        rep = verify_approx_fixed_point(cfg.space, m, t_grid=cfg.t_grid,
+                                        delta_schedule=cfg.delta_schedule,
+                                        grid_resolutions=cfg.grid_resolutions)
         rep["scenario_id"] = idx
-        return idx, rep
-
-    workers = min(_threads(), len(maps))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(one, enumerate(maps)))
-    else:
-        results = dict(one(item) for item in enumerate(maps))
-    scenario_reports = [results[i] for i in range(len(maps))]
+        scenario_reports.append(rep)
 
     rows = []
     for rep in scenario_reports:
@@ -350,9 +337,10 @@ def cmd_ddf(args) -> int:
 def cmd_check_axioms(args) -> int:
     cfg = load_config(args.config)
     raw = cfg.raw
-    count = int(raw.get("pairs", 200))
+    count = _convert("pairs", int, raw.get("pairs", 200))
     seed = cfg.seed if cfg.seed is not None else 0
-    lambdas = tuple(float(x) for x in raw.get("lambdas", [k / 10.0 for k in range(11)]))
+    lambdas = _convert("lambdas", lambda xs: tuple(float(x) for x in xs),
+                       raw.get("lambdas", [k / 10.0 for k in range(11)]))
     pairs = random_vector_pairs(cfg.space.dimension, count, seed)
     report = check_axioms(cfg.space, pairs, lambdas)
     _print_json(report.to_json_obj())
@@ -397,24 +385,20 @@ def cmd_psi(args) -> int:
     cfg = load_config(args.config)
     if cfg.map is None:
         raise InvalidArgumentError("psi needs a 'map' config entry")
+    schedules = dict(delta_schedule=cfg.delta_schedule,
+                     grid_resolutions=cfg.grid_resolutions, t_grid=cfg.t_grid)
     out: dict = {}
-    exact_available = isinstance(cfg.map, PiecewiseMap1D) and cfg.space.dimension == 1
-    route = args.route
-    if route == "both" and not exact_available:
-        route = "estimate"
-    if route in ("exact", "both"):
-        if not exact_available:
-            raise InvalidArgumentError("exact route needs a piecewise map in a 1-d space")
+    if args.route == "exact":
         out["exact"] = discontinuity_exact(cfg.space, cfg.map).to_json_obj()
-    if route in ("estimate", "both"):
-        est = discontinuity_estimate(cfg.space, cfg.map,
-                                     delta_schedule=cfg.delta_schedule,
-                                     grid_resolutions=cfg.grid_resolutions,
-                                     t_grid=cfg.t_grid)
+    elif args.route == "estimate":
+        out["estimate"] = discontinuity_estimate(cfg.space, cfg.map, **schedules).to_json_obj()
+    else:
+        psi, est = discontinuity_measure(cfg.space, cfg.map, **schedules)
+        if est is None:
+            est = discontinuity_estimate(cfg.space, cfg.map, **schedules)
+            out["exact"] = psi.to_json_obj()
+            out["sibley_distance"] = sibley_distance(est.ddf, psi)
         out["estimate"] = est.to_json_obj()
-    if route == "both":
-        out["sibley_distance"] = sibley_distance(
-            Ddf.from_json_obj(out["estimate"]["ddf"]), Ddf.from_json_obj(out["exact"]))
     _print_json(out)
     return 0
 
@@ -423,13 +407,8 @@ def cmd_fixpoint(args) -> int:
     cfg = load_config(args.config)
     if cfg.map is None:
         raise InvalidArgumentError("fixpoint needs a 'map' config entry")
-    if isinstance(cfg.map, PiecewiseMap1D) and cfg.space.dimension == 1:
-        psi = discontinuity_exact(cfg.space, cfg.map)
-    else:
-        psi = discontinuity_estimate(cfg.space, cfg.map,
-                                     delta_schedule=cfg.delta_schedule,
-                                     grid_resolutions=cfg.grid_resolutions,
-                                     t_grid=cfg.t_grid).ddf
+    psi, _ = discontinuity_measure(cfg.space, cfg.map, delta_schedule=cfg.delta_schedule,
+                                   grid_resolutions=cfg.grid_resolutions, t_grid=cfg.t_grid)
     h = min(cfg.grid_resolutions)
     fp = find_approx_fixed_point(cfg.space, cfg.map, psi, h)
     kk = kakutani_search(cfg.map, h)

@@ -39,13 +39,13 @@ SIBLEY_TOL = 1e-9
 
 def _cluster_representatives(sorted_vals: Sequence[float],
                              tol: float = KNOT_MERGE_TOL) -> list[float]:
-    """Collapse consecutive values closer than `tol` to the smallest one."""
+    """Collapse sorted values into clusters, each holding the values
+    within `tol` of its smallest one (its head), and return the heads:
+    the same rule `_canonical_jumps` merges knots by."""
     reps: list[float] = []
-    last = None
     for v in sorted_vals:
-        if last is None or v - last > tol:
+        if not reps or v - reps[-1] > tol:
             reps.append(v)
-        last = v
     return reps
 
 
@@ -154,7 +154,10 @@ class Ddf:
         for k, entry in enumerate(obj):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise InvalidArgumentError(f"ddf JSON entry {k} must be a [location, mass] pair")
-            pairs.append((float(entry[0]), float(entry[1])))
+            try:
+                pairs.append((float(entry[0]), float(entry[1])))
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgumentError(f"ddf JSON entry {k}: {exc}") from exc
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             if b <= a:
                 raise InvalidArgumentError("ddf JSON locations must be strictly ascending")

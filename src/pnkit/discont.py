@@ -34,9 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ddf import Ddf, VALUE_TOL, make_epsilon, sibley_distance
+from .ddf import Ddf, VALUE_TOL, sibley_distance
 from .errors import InvalidArgumentError, PnkitError
-from .pn_space import PnSpace, Vector, as_vector
+from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
 
 DEFAULT_DELTA_SCHEDULE: tuple[float, ...] = tuple(0.2 * 2.0 ** -k for k in range(7))
 DEFAULT_GRID_RESOLUTIONS: tuple[float, ...] = (1.0 / 1024.0,)
@@ -439,35 +439,26 @@ def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
 
     Over the breakpoints (continuity points contribute the maximal
     element and drop out of the infimum), take the pointwise infimum of
-    the norm profiles of f(b) minus each one-sided limit.  The profiles
-    are the generator rescaled by each |f(b) - limit|, a family totally
-    ordered in the scale factor, so the infimum is the generator
-    rescaled by the largest gap -- exactly, for any generator.
+    the norm profiles of f(b) minus each one-sided limit: the profile of
+    the largest gap, exactly, for any generator.
     """
-    if space.dimension != 1:
-        raise InvalidArgumentError("exact route requires a 1-d space")
+    if space.dimension != 1 or not isinstance(pw, PiecewiseMap1D):
+        raise InvalidArgumentError("exact route needs a piecewise map in a 1-d space")
     worst = 0.0
     for b in pw.breakpoints:
         fb = pw.eval(b)
         for q in limit_set(pw, b).values:
             worst = max(worst, abs(fb - q))
-    if worst == 0.0:
-        return make_epsilon(0.0)
-    return space.generator.scale_locations(worst)
+    return norm_profile(space, worst)
 
 
 def _neighbor_offsets_1d(space: PnSpace, delta: float, step: float, n: int) -> int:
     """Largest j >= 1 with the j-th lattice neighbor inside the strong
-    delta-neighborhood; 0 when even the nearest neighbor is outside."""
-    g = space.generator
-    j = 0
-    while j < n:
-        r = (j + 1) * step
-        if g.eval(delta / r) > 1.0 - delta:
-            j += 1
-        else:
-            break
-    return j
+    delta-neighborhood; 0 when even the nearest neighbor is outside.
+    Profiles shrink as the offset grows, so the admitted offsets are a
+    prefix of 1..n."""
+    admitted = profile_at(space, np.arange(1, n + 1) * step, delta) > 1.0 - delta
+    return int(np.count_nonzero(admitted))
 
 
 @dataclass(frozen=True)
@@ -527,20 +518,15 @@ def _largest_gap_1d(fv: np.ndarray, max_offset: int) -> float:
 
 def _largest_gap_sampled(m: SampledMap, space: PnSpace, delta: float) -> float | None:
     img = m._images_np
-    g = space.generator
+    # Every nonzero offset that keeps some node pair inside the lattice.
+    grids = np.meshgrid(*(np.arange(1 - n, n) for n in m.shape), indexing="ij")
+    offsets = np.stack(grids, axis=-1).reshape(-1, m.dim)
+    offsets = offsets[np.any(offsets != 0, axis=1)]
+    r = m.resolution * vec_norms(offsets)
     worst = None
-    max_off = max(m.shape)
-    for off in np.ndindex(*(2 * max_off + 1,) * m.dim):
-        d = tuple(o - max_off for o in off)
-        if all(x == 0 for x in d):
-            continue
-        r = m.resolution * math.sqrt(sum(x * x for x in d))
-        if g.eval(delta / r) <= 1.0 - delta:
-            continue
+    for d in offsets[profile_at(space, r, delta) > 1.0 - delta]:
         src = tuple(slice(max(x, 0), img.shape[k] + min(x, 0)) for k, x in enumerate(d))
         dst = tuple(slice(max(-x, 0), img.shape[k] + min(-x, 0)) for k, x in enumerate(d))
-        if any(s.start >= s.stop for s in src):
-            continue
         diff = img[src] - img[dst]
         gap = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
         worst = gap if worst is None else max(worst, gap)
@@ -553,11 +539,10 @@ def discontinuity_estimate(space: PnSpace, m, *,
                            t_grid: Sequence[float] = DEFAULT_T_GRID) -> DiscontinuityEstimate:
     """Estimate the discontinuity measure from point evaluations only.
 
-    For the spaces built here every norm profile is the generator
-    rescaled by a displacement, so the double infimum at each t reduces
-    to the generator rescaled by the largest displacement between
-    neighborhood pairs -- the code tracks that one scalar per refinement
-    level and rebuilds the per-t curves from it exactly.
+    Profiles are ordered by their norms, so the double infimum at each
+    t is the profile of the largest displacement between neighborhood
+    pairs: the code tracks that one scalar per refinement level and
+    rebuilds the per-t curves from it exactly.
 
     A refinement level whose neighborhood contains no lattice point
     besides p itself is skipped with a warning (grid too coarse for that
@@ -617,11 +602,8 @@ def discontinuity_estimate(space: PnSpace, m, *,
         raise InvalidArgumentError(
             "every refinement level was below the grid resolution; nothing estimated")
 
-    def curve(gap: float) -> Ddf:
-        return make_epsilon(0.0) if gap == 0.0 else space.generator.scale_locations(gap)
-
-    est = curve(final_gap)
-    prev = curve(prev_final_gap) if prev_final_gap is not None else est
+    est = norm_profile(space, final_gap)
+    prev = norm_profile(space, prev_final_gap) if prev_final_gap is not None else est
     ts_np = np.array(ts, dtype=float)
     vals = est.eval_many(ts_np)
     prev_vals = prev.eval_many(ts_np)
@@ -632,6 +614,21 @@ def discontinuity_estimate(space: PnSpace, m, *,
         brackets=tuple((float(a), float(b)) for a, b in zip(prev_vals, vals)),
         levels=tuple(levels),
     )
+
+
+def discontinuity_measure(space: PnSpace, m, *,
+                          delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,
+                          grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS,
+                          t_grid: Sequence[float] = DEFAULT_T_GRID
+                          ) -> tuple[Ddf, DiscontinuityEstimate | None]:
+    """The discontinuity measure by the best available route:
+    (exact measure, None) for a piecewise map in a 1-d space, else
+    (estimate.ddf, estimate) from the grid estimator."""
+    if isinstance(m, PiecewiseMap1D) and space.dimension == 1:
+        return discontinuity_exact(space, m), None
+    est = discontinuity_estimate(space, m, delta_schedule=delta_schedule,
+                                 grid_resolutions=grid_resolutions, t_grid=t_grid)
+    return est.ddf, est
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ Existence of both is guaranteed for self-maps of a compact interval, so
 a search that still fails after one grid refinement raises instead of
 reporting quietly: that outcome signals a defect, not bad luck.
 
-The spaces here rescale one generator, so the residual profiles are
-totally ordered by the scalar displacement |f(p) - p|; the dominance
-search therefore minimizes that displacement and checks dominance on
-the winner by exact step-function comparison.
+Residual profiles are ordered by the displacement |f(p) - p| (see
+`pn_space`); the dominance search therefore minimizes that displacement
+and checks dominance on the winner by exact step-function comparison.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ import numpy as np
 from .ddf import Ddf, VALUE_TOL, ddf_leq_witness
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
                       DEFAULT_T_GRID, PiecewiseMap1D, SampledMap, convex_hull,
-                      discontinuity_estimate, discontinuity_exact,
-                      hull_distance_1d, limit_set, map_dim, map_eval_vec)
+                      discontinuity_measure, hull_distance_1d, limit_set,
+                      map_dim, map_eval_vec)
 from .errors import InvalidArgumentError, TheoremViolationError
-from .pn_space import PnSpace, Vector, prob_norm, vec_norm, vec_sub
+from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norm, vec_sub
 
 
 @dataclass(frozen=True)
@@ -183,13 +182,16 @@ def kakutani_search(m, h: float, tol: float | None = None,
     """Find a candidate within `tol` of the convex hull of its own limit
     values, preferring exact containment.
 
-    tol defaults to one grid cell.  Existence is guaranteed, so a miss
-    after refinement raises.
+    tol defaults to one grid cell: h, or the lattice step of a sampled
+    map, whose lattice is its only candidate set.  Existence is
+    guaranteed, so a miss after refinement raises.
     """
     h = float(h)
     if not (h > 0.0 and math.isfinite(h)):
         raise InvalidArgumentError(f"grid resolution must be positive, got {h!r}")
-    tol = h if tol is None else float(tol)
+    if tol is None:
+        tol = m.resolution if isinstance(m, SampledMap) else h
+    tol = float(tol)
     if tol < 0.0:
         raise InvalidArgumentError(f"tolerance must be nonnegative, got {tol!r}")
 
@@ -234,52 +236,40 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
     JSON-ready report; anomalies in the sub-searches propagate as
     exceptions.
     """
-    exact_route = isinstance(m, PiecewiseMap1D) and space.dimension == 1
-    if exact_route:
-        psi = discontinuity_exact(space, m)
-        psi_route = "exact"
-        estimate_obj = None
-    else:
-        estimate_obj = discontinuity_estimate(space, m, delta_schedule=delta_schedule,
+    psi, estimate_obj = discontinuity_measure(space, m, delta_schedule=delta_schedule,
                                               grid_resolutions=grid_resolutions,
                                               t_grid=t_grid)
-        psi = estimate_obj.ddf
-        psi_route = "estimate"
-
     h = float(search_h) if search_h is not None else float(min(grid_resolutions))
     fp = find_approx_fixed_point(space, m, psi, h)
     kk = kakutani_search(m, h)
 
+    ts = np.array(t_grid, dtype=float)
+    if not np.all(ts >= 0.0):
+        raise InvalidArgumentError("t_grid entries must be nonnegative")
+    # The minimum over the limit profiles is the profile of the farthest
+    # limit value.
     pk = kk.point
     fk = map_eval_vec(m, pk)
-    residual_k = prob_norm(space, vec_sub(fk, pk))
-    limit_profiles = [prob_norm(space, vec_sub(fk, (q,) if not isinstance(q, tuple) else q))
-                      for q in _limit_values(m, pk)]
-
-    worst_upper = math.inf  # min over t of residual(t) - mid(t)
-    worst_lower = math.inf  # min over t of mid(t) - psi(t)
-    worst_t = None
-    for t in t_grid:
-        mid = min(nd.eval(t) for nd in limit_profiles)
-        upper = residual_k.eval(t) - mid
-        lower = mid - psi.eval(t)
-        if min(upper, lower) < min(worst_upper, worst_lower):
-            worst_t = float(t)
-        worst_upper = min(worst_upper, upper)
-        worst_lower = min(worst_lower, lower)
+    far = max(vec_norm(vec_sub(fk, (q,) if not isinstance(q, tuple) else q))
+              for q in _limit_values(m, pk))
+    mid = profile_at(space, far, ts)
+    upper = profile_at(space, vec_norm(vec_sub(fk, pk)), ts) - mid
+    lower = mid - psi.eval_many(ts)
+    worst_upper = float(np.min(upper, initial=math.inf))
+    worst_lower = float(np.min(lower, initial=math.inf))
     chain_holds = worst_upper >= -VALUE_TOL and worst_lower >= -VALUE_TOL
 
     report = {
         "space": space.to_json_obj(),
         "map": m.to_json_obj(),
-        "psi_route": psi_route,
+        "psi_route": "exact" if estimate_obj is None else "estimate",
         "psi": psi.to_json_obj(),
         "fixpoint": fp.to_json_obj(),
         "kakutani": kk.to_json_obj(),
         "chain": {
             "holds": chain_holds,
-            "checked_t": len(tuple(t_grid)),
-            "worst_t": worst_t,
+            "checked_t": len(ts),
+            "worst_t": float(ts[np.argmin(np.minimum(upper, lower))]) if len(ts) else None,
             "residual_minus_mid_min": worst_upper,
             "mid_minus_psi_min": worst_lower,
         },

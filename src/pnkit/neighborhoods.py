@@ -15,7 +15,7 @@ A diameter computed on a lattice subset can only overestimate the true
 concentration, so lattice witnesses are confirmed against the exact
 interval-image bound whenever the generator is a single step (the case
 where the neighborhood is exactly a ball and the image supremum is an
-exact finite computation).
+exact finite computation).  Profiles are evaluated by `pn_space`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 from .ddf import Ddf, left_limit_of_infimum
 from .discont import PiecewiseMap1D, map_box, map_dim, map_eval_vec
 from .errors import InvalidArgumentError
-from .pn_space import PnSpace, Vector, as_vector, prob_norm, vec_norm, vec_sub
+from .pn_space import (PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norm,
+                       vec_norms, vec_sub)
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def in_strong_neighborhood(space: PnSpace, p, t: float, q) -> bool:
     if not (t > 0.0):
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
     diff = vec_sub(as_vector(p, space.dimension), as_vector(q, space.dimension))
-    return prob_norm(space, diff).eval(t) > 1.0 - t
+    return bool(profile_at(space, vec_norm(diff), t) > 1.0 - t)
 
 
 def prob_diameter(space: PnSpace, A: PointSet) -> Ddf:
@@ -108,29 +109,15 @@ def default_tprime_schedule(t: float, levels: int = 21) -> tuple[float, ...]:
     return tuple(t * 2.0 ** -k for k in range(levels))
 
 
-def _probe_lattice(m, budget: int) -> list[Vector]:
+def _probe_lattice(m, budget: int) -> np.ndarray:
     box = map_box(m)
     if len(box) == 1:
         lo, hi = box[0]
-        return [(float(x),) for x in np.linspace(lo, hi, budget)]
+        return np.linspace(lo, hi, budget)[:, None]
     side = max(2, int(math.isqrt(budget)))
     xs = np.linspace(box[0][0], box[0][1], side)
     ys = np.linspace(box[1][0], box[1][1], side)
-    return [(float(a), float(b)) for a in xs for b in ys]
-
-
-def _lattice_image_concentration(space: PnSpace, m, p: Vector, tprime: float,
-                                 lattice: Sequence[Vector], t: float) -> bool:
-    # Diameter of the image of the lattice points inside the
-    # neighborhood, evaluated at t.  For the simple spaces here the
-    # diameter is the generator rescaled by the largest image norm, so
-    # only that scalar is needed.
-    members = [q for q in lattice if in_strong_neighborhood(space, p, tprime, q)]
-    members.append(p)
-    worst = max(vec_norm(map_eval_vec(m, q)) for q in members)
-    if worst == 0.0:
-        return True  # image profile is maximal
-    return space.generator.eval(t / worst) > 1.0 - t
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def _exact_ball_confirmation(space: PnSpace, pw: PiecewiseMap1D, p: float,
@@ -179,18 +166,24 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
         raise InvalidArgumentError("sample, map, and space dimensions must agree")
 
     lattice = _probe_lattice(m, probe_budget)
+    image_norms = vec_norms(np.reshape([map_eval_vec(m, q) for q in lattice], lattice.shape))
+    tprimes = np.array(schedule)[:, None]
     exact_route = isinstance(m, PiecewiseMap1D) and len(space.generator.jumps) == 1
 
     entries = []
     for p in domain_sample.points:
+        # Row k: the lattice points inside the t'_k-neighborhood of p.  The
+        # image diameter of those points and p is the profile of the
+        # largest image norm among them.
+        members = profile_at(space, vec_norms(lattice - p), tprimes) > 1.0 - tprimes
+        worst = np.max(np.where(members, image_norms, 0.0), axis=1, initial=0.0)
+        worst = np.maximum(worst, vec_norm(map_eval_vec(m, p)))
+        concentrated = profile_at(space, worst, t) > 1.0 - t
         witness = None
-        for tprime in schedule:
-            if not _lattice_image_concentration(space, m, p, tprime, lattice, t):
-                continue
-            if exact_route and not _exact_ball_confirmation(space, m, p[0], tprime, t):
-                continue
-            witness = tprime
-            break
+        for tprime, ok in zip(schedule, concentrated):
+            if ok and (not exact_route or _exact_ball_confirmation(space, m, p[0], tprime, t)):
+                witness = tprime
+                break
         entries.append(ContinuityWitness(point=p, witness_tprime=witness))
     return ContinuityReport(t=t, entries=tuple(entries))
 
@@ -243,16 +236,16 @@ def check_pairwise_image_separation(space: PnSpace, m, pairs: Sequence[tuple], t
     if not report.passed:
         raise InvalidArgumentError("map is not certified: continuity report has unwitnessed points")
 
-    violations = []
-    checked = 0
+    checked_pairs = []
+    diffs = []
     for raw_p, raw_q in pairs:
         p = as_vector(raw_p, space.dimension)
         q = as_vector(raw_q, space.dimension)
         if p == q:
             raise InvalidArgumentError(f"pairs must be distinct, got {p!r} twice")
-        diff = vec_sub(map_eval_vec(m, p), map_eval_vec(m, q))
-        val = prob_norm(space, diff).eval(t)
-        checked += 1
-        if not val > 1.0 - t:
-            violations.append(PairwiseViolation(p=p, q=q, value=val))
-    return PairwiseReport(t=t, checked=checked, violations=tuple(violations))
+        checked_pairs.append((p, q))
+        diffs.append(vec_sub(map_eval_vec(m, p), map_eval_vec(m, q)))
+    vals = profile_at(space, vec_norms(np.reshape(diffs, (len(diffs), map_dim(m)))), t)
+    violations = tuple(PairwiseViolation(p=p, q=q, value=float(val))
+                       for (p, q), val in zip(checked_pairs, vals) if not val > 1.0 - t)
+    return PairwiseReport(t=t, checked=len(checked_pairs), violations=violations)

@@ -1,11 +1,17 @@
 """Concrete probabilistic-normed spaces over R^d and an axiom checker.
 
 The instance family implemented here is the simple space built from a
-generator d.d.f. G: the probabilistic norm of a point p is G with every
-jump location rescaled by the Euclidean norm of p (and the unit step at
-0 for the null vector).  With the minimum t-norm on both slots this
-family satisfies all four axioms, which the checker verifies on seeded
-samples by exact step-function comparisons:
+generator d.d.f. G: the probabilistic norm of a point p is the profile
+G(t / r) of its Euclidean norm r, that is G with every jump location
+scaled by r (the unit step at 0 when r = 0).  This module owns that rule
+for the whole package, in one rounding form: a jump at a counts at t
+when the product a * r is strictly below t.  `profile_at` evaluates it
+on arrays and `norm_profile` builds it as a Ddf; the two agree unless
+scaled jumps fall within 1e-12 of each other and merge.  A larger norm
+gives a smaller profile, so an infimum of profiles is the largest norm's.
+With the minimum t-norm on both slots this family satisfies all four
+axioms, which the checker verifies on seeded samples by exact
+step-function comparisons:
 
     N1  norm profile is the unit step at 0 iff the point is null
     N2  negation leaves the profile unchanged
@@ -51,6 +57,19 @@ def vec_norm(v: Vector) -> float:
     return math.sqrt(math.fsum(c * c for c in v))
 
 
+def vec_norms(points) -> np.ndarray:
+    """Row-wise Euclidean norms of an (..., d) array, equal to `vec_norm`
+    of each row: for d <= 2 the sum of squares takes a single rounding,
+    as `math.fsum` does; longer rows go through `vec_norm` itself."""
+    a = np.asarray(points, dtype=float)
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0])
+    if a.shape[-1] == 2:
+        return np.sqrt(a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1])
+    rows = a.reshape(-1, a.shape[-1])
+    return np.array([vec_norm(v) for v in rows], dtype=float).reshape(a.shape[:-1])
+
+
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -87,7 +106,8 @@ class PnSpace:
     tau_star: TriangleFn = field(default_factory=lambda: TriangleFn(TNormKind.M))
 
     def __post_init__(self):
-        if int(self.dimension) != self.dimension or self.dimension < 1:
+        if (not isinstance(self.dimension, (int, float))
+                or not float(self.dimension).is_integer() or self.dimension < 1):
             raise InvalidArgumentError(f"dimension must be a positive integer, got {self.dimension!r}")
         object.__setattr__(self, "dimension", int(self.dimension))
         if not self.generator.jumps:
@@ -118,13 +138,27 @@ class PnSpace:
         return cls(dimension=dim, generator=gen, tau=tau, tau_star=tau_star)
 
 
+def profile_at(space: PnSpace, norms, t) -> np.ndarray:
+    """The profile G(t / r) of each norm r at each threshold t >= 0,
+    broadcast over `norms` and `t`: the generator mass whose scaled
+    location a * r lies strictly below t, and the unit step at 0 where
+    r == 0 (1 for every t > 0)."""
+    r, t = np.broadcast_arrays(np.asarray(norms, dtype=float), np.asarray(t, dtype=float))
+    gen = space.generator
+    below = np.count_nonzero(r[..., None] * gen._locs_np < t[..., None], axis=-1)
+    return np.where(r == 0.0, (t > 0.0).astype(float), gen._cums_np[below])
+
+
+def norm_profile(space: PnSpace, r: float) -> Ddf:
+    """The profile of norm r as a Ddf: the generator with every jump
+    location scaled by r > 0, or the unit step at 0 when r == 0."""
+    return make_epsilon(0.0) if r == 0.0 else space.generator.scale_locations(r)
+
+
 def prob_norm(space: PnSpace, p) -> Ddf:
-    """Norm profile of a point: the generator rescaled by its Euclidean
-    norm, or the unit step at 0 for the null vector."""
+    """Norm profile of a point: the profile of its Euclidean norm."""
     v = as_vector(p, space.dimension)
-    if is_null(v):
-        return make_epsilon(0.0)
-    return space.generator.scale_locations(vec_norm(v))
+    return norm_profile(space, 0.0 if is_null(v) else vec_norm(v))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from pnkit import Ddf
+from pnkit import Ddf, PiecewiseMap1D, prob_norm
+from pnkit.discont import map_eval_vec
+from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_lattice,
+                                 default_tprime_schedule)
+from pnkit.pn_space import vec_norm, vec_sub
 from pnkit.tnorms import TNormKind, tnorm_apply_np
 
 
@@ -87,3 +91,33 @@ def pointwise_min_curve(fns, xs: np.ndarray) -> np.ndarray:
     """Dense-grid pointwise infimum of a family, as raw values."""
     vals = np.stack([F.eval_many(xs) for F in fns])
     return np.min(vals, axis=0)
+
+
+def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> list:
+    """Reference continuity scan: each sample point's witness threshold on
+    the default schedule, or None, found one point, one t' and one
+    lattice point at a time with a fresh profile Ddf for every test.
+
+    The members at t' are the lattice points whose difference profile
+    from p exceeds 1 - t' at t'; t' is a witness when the profile of the
+    largest image among the members and p exceeds 1 - t at t.  The probe
+    lattice and the exact ball bound for single-step generators on
+    piecewise maps are the library's own."""
+    lattice = [tuple(float(c) for c in q) for q in _probe_lattice(m, probe_budget)]
+    exact_route = isinstance(m, PiecewiseMap1D) and len(space.generator.jumps) == 1
+    out = []
+    for p in points:
+        witness = None
+        for tprime in default_tprime_schedule(t):
+            members = [q for q in lattice
+                       if prob_norm(space, vec_sub(p, q)).eval(tprime) > 1.0 - tprime]
+            images = [map_eval_vec(m, q) for q in members + [p]]
+            farthest = max(images, key=vec_norm)
+            if not prob_norm(space, farthest).eval(t) > 1.0 - t:
+                continue
+            if exact_route and not _exact_ball_confirmation(space, m, p[0], tprime, t):
+                continue
+            witness = tprime
+            break
+        out.append(witness)
+    return out

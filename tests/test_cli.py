@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from pnkit import TheoremViolationError
+from pnkit import SampledMap, TheoremViolationError, kakutani_search
 from pnkit.cli import (ScenarioFamily, generate_scenarios, load_config, main,
-                       parse_ddf_spec)
+                       parse_config, parse_ddf_spec, run_verify)
 from pnkit.errors import InvalidArgumentError
 
 JUMP_CONFIG = {
@@ -166,6 +166,21 @@ class TestVerifyCommand:
         assert report["summary"]["count"] == 4
         assert report["summary"]["dominance_successes"] == 4
 
+    def test_sampled_map_hull_tolerance_is_its_lattice_step(self):
+        # The hull search of a sampled map scans only its own lattice, so
+        # the configured grids must not set its tolerance.
+        h = 1.0 / 20
+        m = SampledMap.from_function(
+            lambda p: (0.22, 0.31) if p[0] + p[1] < 1.0 else (0.61, 0.72),
+            ((0.0, 1.0), (0.0, 1.0)), h)
+        raw = {"space": {"dimension": 2}, "map": {"sampled": m.to_json_obj()},
+               "schedules": {"t_grid": {"count": 64, "max": 1.0}}}
+        without_grids, _ = run_verify(parse_config(raw))
+        raw["schedules"]["grids"] = [h]
+        with_grids, _ = run_verify(parse_config(raw))
+        assert without_grids["scenarios"] == with_grids["scenarios"]
+        assert kakutani_search(m, 1.0 / 1024).distance <= h
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         path = write_config(tmp_path, {"scenarios": {"count": 3, "pieces": [1, 4]},
@@ -177,18 +192,6 @@ class TestVerifyCommand:
         assert main(["verify-t34", "--config", str(path), "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
-
-    def test_threaded_batch_matches_serial(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "serial.json", tmp_path / "threaded.json"
-        path = write_config(tmp_path, {"scenarios": {"count": 4, "pieces": [1, 4]},
-                                       "seed": 33})
-        cfg = json.loads(path.read_text())
-        del cfg["map"]
-        path.write_text(json.dumps(cfg))
-        assert main(["verify-t34", "--config", str(path), "--output", str(a)]) == 0
-        monkeypatch.setenv("PNKIT_THREADS", "4")
-        assert main(["verify-t34", "--config", str(path), "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestExitCodes:
@@ -215,12 +218,6 @@ class TestExitCodes:
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["verify-t34", "--config", "/nonexistent/cfg.json"]) == 2
 
-    def test_bad_thread_env_is_validation_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PNKIT_THREADS", "zero")
-        path = write_config(tmp_path)
-        assert main(["verify-t34", "--config", str(path)]) == 2
-        assert "PNKIT_THREADS" in capsys.readouterr().err
-
     def test_existence_failure_maps_to_exit_three(self, tmp_path, capsys, monkeypatch):
         import pnkit.cli as cli_mod
 
@@ -231,6 +228,22 @@ class TestExitCodes:
         path = write_config(tmp_path)
         assert main(["verify-t34", "--config", str(path)]) == 3
         assert "theorem violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("verify-t34", {"scenarios": {"count": "abc"}}, "scenarios.count"),
+        ("verify-t34", {"scenarios": {"count": 2, "pieces": [1]}}, "scenarios.pieces"),
+        ("verify-t34", {"space": {"dimension": "two"}}, "dimension"),
+        ("verify-t34", {"seed": "abc"}, "seed"),
+        ("check-axioms", {"pairs": "x"}, "pairs"),
+        ("check-axioms", {"lambdas": ["half"]}, "lambdas"),
+    ])
+    def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
+                                                 overrides, field):
+        path = write_config(tmp_path, overrides)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
     def test_config_validation_reports_field(self, tmp_path):
         path = write_config(tmp_path, {"map": {"domain": [0.0, 1.0], "pieces": [

@@ -9,6 +9,7 @@ import pytest
 from helpers import ddf_pointwise_max, dyadic_ddf, pointwise_min_curve, sibley_scan
 from pnkit import (Ddf, InvalidArgumentError, ddf_leq, left_limit_of_infimum,
                    make_epsilon, sibley_distance)
+from pnkit.ddf import comparison_probes
 
 
 class TestConstruction:
@@ -197,6 +198,34 @@ class TestLeftLimitOfInfimum:
     def test_empty_family_rejected(self):
         with pytest.raises(InvalidArgumentError):
             left_limit_of_infimum([])
+
+
+class TestKnotClustering:
+    # F and G alternate 0.9e-12 apart: each knot is within the merge
+    # tolerance of its neighbour, but a cluster may not grow past 1e-12
+    # from its head, so the 2000 knots form 1000 clusters, not one.
+    F = Ddf(tuple((2 * k * 0.9e-12, 1e-3) for k in range(1000)))
+    G = Ddf(tuple(((2 * k + 1) * 0.9e-12, 1e-3) for k in range(1000)))
+
+    def test_probes_keep_one_cluster_per_pair(self):
+        probes = comparison_probes(self.F, self.G)
+        assert len(probes) == 2 * 1000
+        assert probes[-1] > 1.79e-9
+
+    def test_order_sees_the_alternating_excess(self):
+        xs = np.linspace(0.0, 1.8e-9, 20001)
+        assert np.max(self.F.eval_many(xs) - self.G.eval_many(xs)) > 1e-3 - 1e-12
+        assert not ddf_leq(self.F, self.G)
+
+    def test_infimum_stays_below_both_members(self):
+        low = left_limit_of_infimum([self.F, self.G])
+        x = 9e-10
+        assert low.eval(x) <= min(self.F.eval(x), self.G.eval(x)) + 1e-12
+        # Off the probes the two members differ by one jump on regions
+        # narrower than the tolerance, which the infimum may not resolve.
+        xs = np.linspace(0.0, 2e-9, 20001)
+        dense_min = pointwise_min_curve([self.F, self.G], xs)
+        assert np.max(np.abs(low.eval_many(xs) - dense_min)) <= 1e-3 + 1e-12
 
 
 class TestSerialization:

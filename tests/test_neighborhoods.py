@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import pointwise_min_curve
+from helpers import continuity_scan_oracle, dyadic_ddf, pointwise_min_curve
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, Piece, PnSpace,
                    PointSet, TNormKind, TriangleFn,
                    check_pairwise_image_separation, constant_map, ddf_leq,
@@ -166,6 +168,30 @@ class TestContinuityScan:
         assert strong_t_continuity_test(sp, concentrated, sample, t=0.5).passed
         distant = SampledMap.from_function(lambda p: (0.9,), ((0.0, 1.0),), 1.0 / 64)
         assert not strong_t_continuity_test(sp, distant, sample, t=0.5).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(
+               ["constant", "affine", "sampled_1d", "sampled_2d"]),
+           single_step=st.booleans(), t=st.one_of(st.floats(min_value=0.05, max_value=1.5),
+                                                  st.sampled_from([0.25, 0.5, 1.0])))
+    def test_matches_per_point_oracle(self, seed, kind, single_step, t):
+        from pnkit import SampledMap
+        from pnkit.cli import ScenarioFamily, generate_scenarios
+        rng = np.random.default_rng(seed)
+        gen = dyadic_ddf(rng, max_jumps=1 if single_step else 4, full_mass=True)
+        dim = 2 if kind == "sampled_2d" else 1
+        sp = PnSpace(dimension=dim, generator=gen)
+        if kind in ("constant", "affine"):
+            m = generate_scenarios(ScenarioFamily(count=1, pieces=(1, 4), kind=kind),
+                                   int(rng.integers(2 ** 31)))[0]
+        else:
+            images = rng.uniform(0.0, 1.0, (9 ** dim, dim))
+            m = SampledMap(box=((0.0, 1.0),) * dim, resolution=0.125,
+                           images=tuple(map(tuple, images)))
+        points = tuple(tuple(float(c) for c in rng.uniform(0.0, 1.0, dim)) for _ in range(3))
+        report = strong_t_continuity_test(sp, m, PointSet(points), t, probe_budget=25)
+        assert [e.witness_tprime for e in report.entries] == \
+            continuity_scan_oracle(sp, m, points, t, probe_budget=25)
 
 
 class TestPairwiseSeparation:

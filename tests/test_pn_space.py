@@ -4,9 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pnkit import (Ddf, InvalidArgumentError, PnSpace, TNormKind, TriangleFn,
                    check_axioms, make_epsilon, prob_norm, random_vector_pairs)
+from pnkit.pn_space import profile_at, vec_norm, vec_norms
+
+coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def generators(draw) -> Ddf:
+    """Full-mass generators with up to five jumps anywhere in [0, 10]."""
+    locs = draw(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1,
+                         max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 100), min_size=len(locs), max_size=len(locs)))
+    total = sum(weights)
+    return Ddf(tuple((loc, w / total) for loc, w in zip(locs, weights)))
 
 
 class TestConstruction:
@@ -77,6 +92,36 @@ class TestProbNorm:
         sp = PnSpace(dimension=2)
         with pytest.raises(InvalidArgumentError):
             prob_norm(sp, (1.0,))
+
+
+class TestProfileCore:
+    @settings(max_examples=300, deadline=None)
+    @given(gen=generators(), dim=st.integers(1, 3), data=st.data(),
+           ts=st.lists(st.floats(min_value=0.0, max_value=1e7), min_size=1, max_size=8))
+    def test_profile_at_matches_prob_norm(self, gen, dim, data, ts):
+        sp = PnSpace(dimension=dim, generator=gen)
+        v = tuple(data.draw(st.lists(coords, min_size=dim, max_size=dim)))
+        nu = prob_norm(sp, v)
+        # The Ddf merges scaled knots within 1e-12; the core never does.
+        assume(not any(v) or len(nu.jumps) == len(gen.jumps))
+        got = profile_at(sp, vec_norm(v), np.array(ts))
+        assert got.tolist() == [nu.eval(t) for t in ts]
+
+    def test_profile_at_broadcasts_norms_against_thresholds(self):
+        sp = PnSpace(dimension=1, generator=Ddf(((0.5, 0.25), (1.0, 0.75))))
+        norms = np.array([0.0, 1.0, 2.0])
+        ts = np.array([0.0, 0.5, 1.0, 1.5])
+        got = profile_at(sp, norms[:, None], ts)
+        want = [[prob_norm(sp, (r,)).eval(t) for t in ts] for r in norms]
+        assert got.shape == (3, 4)
+        assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_vec_norms_match_vec_norm_row_by_row(self, dim, data):
+        rows = data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=10))
+        assert vec_norms(np.array(rows)).tolist() == [vec_norm(tuple(r)) for r in rows]
 
 
 class TestAxiomChecker:
