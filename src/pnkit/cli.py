@@ -94,6 +94,10 @@ def _pair(value, conv=float) -> tuple:
     return conv(lo), conv(hi)
 
 
+def _points(value) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(float(c) for c in p) for p in value)
+
+
 def _draw_breakpoints(rng: np.random.Generator, lo: float, hi: float, n: int) -> list[float]:
     if n == 0:
         return []
@@ -352,7 +356,7 @@ def cmd_diameter(args) -> int:
     pts_raw = json.loads(args.points) if args.points else cfg.raw.get("points")
     if not pts_raw:
         raise InvalidArgumentError("diameter needs --points or a 'points' config entry")
-    A = PointSet(tuple(tuple(float(c) for c in p) for p in pts_raw))
+    A = PointSet(_convert("points", _points, pts_raw))
     print(prob_diameter(cfg.space, A).to_json())
     return 0
 
@@ -362,21 +366,23 @@ def cmd_continuity(args) -> int:
     raw = cfg.raw
     if cfg.map is None:
         raise InvalidArgumentError("continuity needs a 'map' config entry")
-    t = float(raw.get("t", 0.5))
+    t = _convert("t", float, raw.get("t", 0.5))
     sample_spec = raw.get("sample", {"count": 9})
+    if not isinstance(sample_spec, dict):
+        raise InvalidArgumentError("sample: must be an object")
     if "points" in sample_spec:
-        pts = tuple(tuple(float(c) for c in p) for p in sample_spec["points"])
+        pts = _convert("sample.points", _points, sample_spec["points"])
     else:
-        n = int(sample_spec.get("count", 9))
+        n = _convert("sample.count", int, sample_spec.get("count", 9))
         if isinstance(cfg.map, PiecewiseMap1D):
             lo, hi = cfg.map.domain
         else:
             lo, hi = cfg.map.box[0]
         pts = tuple((float(x),) for x in np.linspace(lo, hi, n))
     schedule = cfg.tprime_schedule or default_tprime_schedule(t)
+    probe_budget = _convert("probe_budget", int, raw.get("probe_budget", 512))
     report = strong_t_continuity_test(cfg.space, cfg.map, PointSet(pts), t,
-                                      tprime_schedule=schedule,
-                                      probe_budget=int(raw.get("probe_budget", 512)))
+                                      tprime_schedule=schedule, probe_budget=probe_budget)
     _print_json(report.to_json_obj())
     return 0
 

@@ -200,20 +200,17 @@ def comparison_probes(*fns: Ddf) -> list[float]:
     return probes
 
 
-def ddf_leq_witness(F: Ddf, G: Ddf) -> tuple[float, float | None]:
+def ddf_leq_witness(F: Ddf, G: Ddf) -> tuple[float, float]:
     """Largest pointwise excess of F over G and a probe attaining it.
 
     Returns (gap, x).  gap <= 0 certifies F <= G on the probe set; a
     positive gap comes with the probe x where F(x) - G(x) is maximal.
     """
-    worst = -math.inf
-    worst_x: float | None = None
-    for x in comparison_probes(F, G):
-        gap = F.eval(x) - G.eval(x)
-        if gap > worst:
-            worst = gap
-            worst_x = x
-    return worst, worst_x
+    probes = comparison_probes(F, G)
+    xs = np.array(probes)
+    gaps = F.eval_many(xs) - G.eval_many(xs)
+    i = int(np.argmax(gaps))  # the first maximum, the smallest such probe
+    return float(gaps[i]), probes[i]
 
 
 def ddf_leq(F: Ddf, G: Ddf, atol: float = VALUE_TOL) -> bool:

@@ -5,10 +5,13 @@ Each induces a binary operation on distance distribution functions,
 
     (F, G) -> sup over u + v = x of T(F(u), G(v)),
 
-computed here exactly: for step inputs the integrand is piecewise
-constant in u, the output is a step function whose jump locations lie
-among the pairwise sums of input jump locations, and the supremum on
-each output piece is decided at finitely many probes.
+computed here exactly.  For step inputs with jumps at a_i and b_j the
+output is a step function whose jumps lie among the pair sums a_i + b_j.
+Because T is nondecreasing and the inputs are constant between knots,
+the output just right of a sum s is the largest T(F+_i, G+_j) over the
+pairs with a_i + b_j < s (F+_i is F's value just after its i-th jump),
+which one sort of the pair sums and a running maximum of their T values
+give for every s at once: about n^2 log n for n jumps on each side.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import numpy as np
 
 from .ddf import Ddf, _cluster_representatives
 from .errors import InvalidArgumentError
+
+# Largest number of input jump pairs tau_apply takes on; the pair sums
+# and their T values are held in memory at once.
+MAX_PAIR_SUMS = 1 << 20
 
 
 class TNormKind(Enum):
@@ -70,49 +77,50 @@ class TriangleFn:
         return tau_apply(self.kind, F, G)
 
 
-def _sup_on_split(kind: TNormKind, F: Ddf, G: Ddf, x: float) -> float:
-    # sup over u in [0, x] of T(F(u), G(x - u)).  The integrand is
-    # piecewise constant with breakpoints at F's knots and at x minus
-    # G's knots; boundary values never exceed adjacent piece interiors,
-    # so midpoints of the pieces decide the supremum exactly.
-    cuts = {0.0, x}
-    for a, _ in F.jumps:
-        if 0.0 < a < x:
-            cuts.add(a)
-    for b, _ in G.jumps:
-        c = x - b
-        if 0.0 < c < x:
-            cuts.add(c)
-    grid = sorted(cuts)
-    best = 0.0
-    for u0, u1 in zip(grid, grid[1:]):
-        u = 0.5 * (u0 + u1)
-        val = tnorm_apply(kind, F.eval(u), G.eval(x - u))
-        if val > best:
-            best = val
-    return best
-
-
 def tau_apply(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
     """Exact sup-convolution of two step d.d.f.s under the given t-norm.
 
-    Candidate output knots are the pairwise sums of input jump
-    locations; the output level on each candidate interval is evaluated
-    at its midpoint and the jump list is rebuilt from the level
-    increases.  Zero-mass entries are pruned and knots within 1e-12
-    merge.
+    The output level just right of a pair sum s is the largest
+    T(F+_i, G+_j) over the pairs with a_i + b_j < s, where F+_i is F's
+    value just after its i-th jump: T is nondecreasing and both inputs
+    are constant between knots.  The pairs are sorted once by their
+    exact sum, a running maximum of the T values in that order gives
+    every such level, and each clustered sum reads its level at the
+    midpoint to the next cluster (one past the last), counting the
+    pairs whose exact sum lies below it: rounding a_i + b_j to a float
+    never moves a pair across a probe.  The jump list is rebuilt from
+    the level increases.  Zero-mass entries are pruned and knots within
+    1e-12 merge.  Cost: n*m log(n*m) for n and m input jumps; more than
+    MAX_PAIR_SUMS pairs is refused before any work.
     """
     if not F.jumps or not G.jumps:
         # One side carries all mass at +inf; every finite supremum is
         # T(., 0) = 0.
         return Ddf(())
-    sums = sorted({a + b for a, _ in F.jumps for b, _ in G.jumps})
-    reps = _cluster_representatives(sums)
+    if len(F.jumps) * len(G.jumps) > MAX_PAIR_SUMS:
+        raise InvalidArgumentError(
+            f"tau_apply of {len(F.jumps)}-jump and {len(G.jumps)}-jump d.d.f.s "
+            f"needs more than {MAX_PAIR_SUMS} pair sums")
+    a, b = F._locs_np[:, None], G._locs_np[None, :]
+    sums = a + b
+    # Two-sum: sums + err == a + b exactly.  A pair lies below a probe
+    # exactly when its key, the float sum moved one step down where it
+    # was rounded up, does.
+    b_part = sums - a
+    err = ((a - (sums - b_part)) + (b - b_part)).ravel()
+    sums = sums.ravel()
+    keys = np.where(err < 0.0, np.nextafter(sums, -np.inf), sums)
+    vals = tnorm_apply_np(kind, F._cums_np[1:, None], G._cums_np[None, 1:]).ravel()
+    order = np.lexsort((err, sums))  # by exact sum; sums and keys both ascend
+    sorted_sums = sums[order]
+    running = np.maximum.accumulate(vals[order])
+    reps = np.array(_cluster_representatives(sorted_sums.tolist()))
+    probes = np.append((reps[:-1] + reps[1:]) / 2.0, reps[-1] + 1.0)
+    below = np.searchsorted(keys[order], probes, side="left") - 1
+    levels = np.where(below >= 0, running[below], 0.0)
     jumps: list[tuple[float, float]] = []
     prev = 0.0
-    for i, rep in enumerate(reps):
-        probe = (rep + reps[i + 1]) / 2.0 if i + 1 < len(reps) else rep + 1.0
-        v = _sup_on_split(kind, F, G, probe)
+    for rep, v in zip(reps.tolist(), levels.tolist()):
         if v - prev > 0.0:
             jumps.append((rep, v - prev))
             prev = v

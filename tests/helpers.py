@@ -12,14 +12,17 @@ internals (dense grids, direct scans) and are deliberately slow.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from pnkit import Ddf, PiecewiseMap1D, prob_norm
+from pnkit.ddf import _cluster_representatives, comparison_probes
 from pnkit.discont import map_eval_vec
 from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_lattice,
                                  default_tprime_schedule)
 from pnkit.pn_space import vec_norm, vec_sub
-from pnkit.tnorms import TNormKind, tnorm_apply_np
+from pnkit.tnorms import TNormKind, tnorm_apply, tnorm_apply_np
 
 
 def dyadic_ddf(rng: np.random.Generator, max_jumps: int = 6,
@@ -69,6 +72,74 @@ def brute_force_tau_curve(kind: TNormKind, F: Ddf, G: Ddf,
         vals = tnorm_apply_np(kind, F.eval_many(us), G.eval_many(np.maximum(x - us, 0.0)))
         out[i] = np.max(vals)
     return out
+
+
+def _fixed(v: float) -> int:
+    """v * 2^1076 as an exact integer.  Every finite float is a multiple
+    of 2^-1074, so sums, differences and midpoints of these integers are
+    exact as well."""
+    num, den = v.as_integer_ratio()
+    return (num << 1076) // den
+
+
+def _sup_on_split(kind: TNormKind, F: Ddf, G: Ddf, a_locs: list[int],
+                  b_locs: list[int], x: float) -> float:
+    # sup over u in [0, x] of T(F(u), G(x - u)).  The integrand is
+    # piecewise constant with breakpoints at F's knots and at x minus
+    # G's knots; boundary values never exceed adjacent piece interiors,
+    # so midpoints of the pieces decide the supremum exactly.  Points
+    # are exact fixed-point integers: in floats, a piece narrower than
+    # one unit in the last place holds no midpoint and its value is lost.
+    X = _fixed(x)
+    cuts = {0, X}
+    cuts.update(a for a in a_locs if 0 < a < X)
+    cuts.update(X - b for b in b_locs if 0 < X - b < X)
+    grid = sorted(cuts)
+    best = 0.0
+    for u0, u1 in zip(grid, grid[1:]):
+        u = (u0 + u1) // 2
+        val = tnorm_apply(kind, F._cums[bisect_left(a_locs, u)],
+                          G._cums[bisect_left(b_locs, X - u)])
+        if val > best:
+            best = val
+    return best
+
+
+def midpoint_scan_tau(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
+    """Reference triangle function: one midpoint scan of the split
+    u + v = x per clustered pair sum, at the midpoint to the next
+    cluster (one past the last), with the jump list rebuilt from the
+    level increases.  The split scans run in exact fixed point, so each
+    level is exact for the given float knots and probes.  About n^3
+    scalar t-norm calls for n jumps a side."""
+    if not F.jumps or not G.jumps:
+        return Ddf(())
+    sums = sorted({a + b for a, _ in F.jumps for b, _ in G.jumps})
+    reps = _cluster_representatives(sums)
+    a_locs = [_fixed(a) for a in F._locs]
+    b_locs = [_fixed(b) for b in G._locs]
+    jumps: list[tuple[float, float]] = []
+    prev = 0.0
+    for i, rep in enumerate(reps):
+        probe = (rep + reps[i + 1]) / 2.0 if i + 1 < len(reps) else rep + 1.0
+        v = _sup_on_split(kind, F, G, a_locs, b_locs, probe)
+        if v - prev > 0.0:
+            jumps.append((rep, v - prev))
+            prev = v
+    return Ddf(tuple(jumps))
+
+
+def leq_witness_loop(F: Ddf, G: Ddf) -> tuple[float, float]:
+    """Reference `ddf_leq_witness`: scalar evaluation at each comparison
+    probe, keeping the first probe of the largest gap."""
+    worst = -np.inf
+    worst_x = None
+    for x in comparison_probes(F, G):
+        gap = F.eval(x) - G.eval(x)
+        if gap > worst:
+            worst = gap
+            worst_x = x
+    return worst, worst_x
 
 
 def sibley_scan(F: Ddf, G: Ddf, h_step: float = 1e-4, h_max: float = 1.0) -> float:

@@ -236,6 +236,12 @@ class TestExitCodes:
         ("verify-t34", {"seed": "abc"}, "seed"),
         ("check-axioms", {"pairs": "x"}, "pairs"),
         ("check-axioms", {"lambdas": ["half"]}, "lambdas"),
+        ("continuity", {"t": "x"}, "t: could not convert"),
+        ("continuity", {"sample": {"count": "many"}}, "sample.count"),
+        ("continuity", {"sample": {"points": [["a"]]}}, "sample.points"),
+        ("continuity", {"sample": 9}, "sample"),
+        ("continuity", {"probe_budget": "x"}, "probe_budget"),
+        ("diameter", {"points": [["a"], [1.0]]}, "points"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):

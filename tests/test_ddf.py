@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ddf_pointwise_max, dyadic_ddf, pointwise_min_curve, sibley_scan
-from pnkit import (Ddf, InvalidArgumentError, ddf_leq, left_limit_of_infimum,
-                   make_epsilon, sibley_distance)
+from helpers import (ddf_pointwise_max, dyadic_ddf, leq_witness_loop,
+                     pointwise_min_curve, sibley_scan)
+from pnkit import (Ddf, InvalidArgumentError, ddf_leq, ddf_leq_witness,
+                   left_limit_of_infimum, make_epsilon, sibley_distance)
 from pnkit.ddf import comparison_probes
 
 
@@ -142,6 +145,41 @@ class TestOrdering:
                 assert F.jumps == G.jumps
             if ddf_leq(F, G) and ddf_leq(G, H):
                 assert ddf_leq(F, H)
+
+
+def coarse_ddf(rng: np.random.Generator) -> Ddf:
+    """Up to four quarter-mass jumps on the quarter-integer grid in
+    [0, 2]: pointwise gaps between two of these repeat across probes."""
+    k = int(rng.integers(1, 5))
+    locs = rng.choice(np.arange(9) * 0.25, size=k, replace=False)
+    return Ddf(tuple((float(loc), 0.25) for loc in locs))
+
+
+class TestLeqWitness:
+    """`ddf_leq_witness` returns what a scalar scan of the comparison
+    probes returns, including the first probe among tied largest gaps."""
+
+    def test_tied_gaps_report_the_first_probe(self):
+        F = Ddf(((0.25, 0.5), (0.75, 0.5)))
+        G = Ddf(((0.5, 0.5), (1.0, 0.5)))
+        assert ddf_leq_witness(F, G) == (0.5, 0.375) == leq_witness_loop(F, G)
+        assert ddf_leq_witness(F, F) == (0.0, 0.25) == leq_witness_loop(F, F)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           family=st.sampled_from(["dyadic", "ordered", "coarse", "equal"]))
+    def test_matches_scalar_scan(self, seed, family):
+        rng = np.random.default_rng(seed)
+        if family == "coarse":
+            F, G = coarse_ddf(rng), coarse_ddf(rng)
+        else:
+            F, G = dyadic_ddf(rng), dyadic_ddf(rng)
+            if family == "ordered":
+                G = ddf_pointwise_max(F, G)
+            elif family == "equal":
+                G = F
+        assert ddf_leq_witness(F, G) == leq_witness_loop(F, G)
+        assert ddf_leq_witness(G, F) == leq_witness_loop(G, F)
 
 
 class TestSibleyDistance:

@@ -2,13 +2,51 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_tau_curve, ddf_pointwise_max, dyadic_ddf
+from helpers import (brute_force_tau_curve, ddf_pointwise_max, dyadic_ddf,
+                     midpoint_scan_tau)
 from pnkit import (Ddf, InvalidArgumentError, TNormKind, check_tnorm_axioms,
                    ddf_leq, make_epsilon, sibley_distance, tau_apply,
                    tnorm_apply)
+from pnkit.tnorms import MAX_PAIR_SUMS
 
 ALL_KINDS = (TNormKind.W, TNormKind.PROD, TNormKind.M)
+
+NEAR_TOL_OFFSETS = (0.0, 0.4e-12, 0.6e-12, 0.9e-12, 1.1e-12)
+
+
+def random_ddf(rng: np.random.Generator, n: int, mass: float = 1.0) -> Ddf:
+    """n jumps at uniform locations in [0, 3) with Dirichlet masses
+    summing to `mass`; neither is dyadic."""
+    locs = np.sort(rng.uniform(0.0, 3.0, n))
+    masses = rng.dirichlet(np.ones(n)) * mass
+    return Ddf(tuple(zip(locs.tolist(), masses.tolist())))
+
+
+def near_tolerance_ddf(rng: np.random.Generator, max_jumps: int = 8) -> Ddf:
+    """Knots at shared quarter-integer bases, each moved by a signed
+    offset near the 1e-12 merge tolerance, so that pair sums of two such
+    d.d.f.s fall into clusters of width close to the tolerance."""
+    n = int(rng.integers(1, max_jumps + 1))
+    bases = rng.integers(0, 6, n) * 0.25
+    offsets = rng.choice(NEAR_TOL_OFFSETS, n) * rng.choice((-1.0, 1.0), n)
+    locs = np.abs(bases + offsets)
+    masses = rng.dirichlet(np.ones(n)) * rng.choice((1.0, float(rng.uniform(0.3, 1.0))))
+    return Ddf(tuple(zip(locs.tolist(), masses.tolist())))
+
+
+def ddf_pair(rng: np.random.Generator, family: str) -> tuple[Ddf, Ddf]:
+    if family == "dyadic":
+        return dyadic_ddf(rng), dyadic_ddf(rng)
+    if family == "random":
+        return (random_ddf(rng, int(rng.integers(1, 9))),
+                random_ddf(rng, int(rng.integers(1, 9))))
+    if family == "sub_probability":
+        return (random_ddf(rng, int(rng.integers(1, 9)), float(rng.uniform(0.2, 0.95))),
+                random_ddf(rng, int(rng.integers(1, 9)), float(rng.uniform(0.2, 0.95))))
+    return near_tolerance_ddf(rng), near_tolerance_ddf(rng)
 
 
 class TestTnormApply:
@@ -52,6 +90,54 @@ class TestAxiomChecks:
     def test_rejects_samples_outside_unit_cube(self):
         with pytest.raises(InvalidArgumentError):
             check_tnorm_axioms(TNormKind.M, [(0.5, 1.5, 0.5)])
+
+
+class TestTauMatchesMidpointScan:
+    """The running-maximum `tau_apply` gives the same jump list, bit for
+    bit, as the per-knot midpoint scan run in exact arithmetic."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(ALL_KINDS),
+           family=st.sampled_from(["dyadic", "random", "sub_probability", "near_tolerance"]))
+    def test_identical_jumps(self, seed, kind, family):
+        F, G = ddf_pair(np.random.default_rng(seed), family)
+        assert tau_apply(kind, F, G).jumps == midpoint_scan_tau(kind, F, G).jumps
+
+    @pytest.mark.parametrize("seed, kind", [
+        (8086, TNormKind.W), (560, TNormKind.PROD), (2021, TNormKind.M)])
+    def test_sub_ulp_corners(self, seed, kind):
+        # Near-tolerance pairs where a float midpoint scan goes wrong: a
+        # split piece narrower than one unit in the last place (8086), or
+        # a pair sum below a probe that rounds up onto it (560, 2021).
+        F, G = ddf_pair(np.random.default_rng(seed), "near_tolerance")
+        assert tau_apply(kind, F, G).jumps == midpoint_scan_tau(kind, F, G).jumps
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_identical_jumps_at_32(self, kind):
+        rng = np.random.default_rng(41)
+        F, G = random_ddf(rng, 32), random_ddf(rng, 32, mass=0.75)
+        out = tau_apply(kind, F, G)
+        assert len(out.jumps) > 32
+        assert out.jumps == midpoint_scan_tau(kind, F, G).jumps
+
+
+class TestPairSumBudget:
+    def test_oversized_inputs_are_refused(self):
+        n = 1100
+        assert n * n > MAX_PAIR_SUMS
+        F = Ddf(tuple((k * 1e-3, 1.0 / n) for k in range(n)))
+        with pytest.raises(InvalidArgumentError, match="1100-jump and 1100-jump"):
+            tau_apply(TNormKind.M, F, F)
+
+    def test_cli_exits_2_on_oversized_inputs(self, tmp_path, capsys):
+        from pnkit.cli import main
+        n = 1100
+        path = tmp_path / "f.json"
+        path.write_text(Ddf(tuple((k * 1e-3, 1.0 / n) for k in range(n))).to_json())
+        assert main(["tau", "--tnorm", "W", "--f", f"@{path}", "--g", f"@{path}"]) == 2
+        err = capsys.readouterr().err
+        assert "1100-jump and 1100-jump" in err
+        assert "Traceback" not in err
 
 
 class TestTauOnSteps:
