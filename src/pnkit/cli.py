@@ -374,10 +374,9 @@ def cmd_continuity(args) -> int:
         pts = _convert("sample.points", _points, sample_spec["points"])
     else:
         n = _convert("sample.count", int, sample_spec.get("count", 9))
-        if isinstance(cfg.map, PiecewiseMap1D):
-            lo, hi = cfg.map.domain
-        else:
-            lo, hi = cfg.map.box[0]
+        if n < 1:
+            raise InvalidArgumentError(f"sample.count: must be at least 1, got {n}")
+        lo, hi = cfg.map.box[0]
         pts = tuple((float(x),) for x in np.linspace(lo, hi, n))
     schedule = cfg.tprime_schedule or default_tprime_schedule(t)
     probe_budget = _convert("probe_budget", int, raw.get("probe_budget", 512))

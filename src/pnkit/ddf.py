@@ -36,6 +36,20 @@ VALUE_TOL = 1e-12
 # Absolute tolerance of the bisection in sibley_distance.
 SIBLEY_TOL = 1e-9
 
+# One-sided limits of a map closer than this are one limit value.
+LIMIT_MERGE_TOL = 1e-12
+
+# How far past its domain a piecewise map's piece may reach, at a piece
+# endpoint, before the map is refused as not a self-map.
+DOMAIN_SLACK = 1e-12
+
+# How far past its box a sampled map's image may lie before it is refused.
+SAMPLED_IMAGE_SLACK = 1e-9
+
+# How much a refinement level's largest pair gap may exceed the previous
+# level's before nested-neighbourhood monotonicity counts as broken.
+MONOTONE_SLACK = 1e-15
+
 
 def _cluster_representatives(sorted_vals: Sequence[float],
                              tol: float = KNOT_MERGE_TOL) -> list[float]:

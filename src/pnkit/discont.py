@@ -7,25 +7,37 @@ distribution-valued measure of discontinuity -- the worst pointwise
 infimum of the norm profile of f(p) minus a limit value -- is an exact
 finite computation.
 
+Both map kinds, `PiecewiseMap1D` and the lattice-sampled `SampledMap`,
+answer the same questions, so no caller asks which kind it holds: `dim`
+and `box`, `eval_points` (one row per point), `grids` (the grid steps a
+search or the estimator may use), `candidates` (the search points of a
+grid), `lattice_images` (the images of a uniform lattice and its step)
+and `limit_values` (one-sided limits, or the images of the adjacent
+lattice nodes).  Only the exact routes, which need the pieces, look at
+the kind.
+
 A grid estimator of the same quantity, driven only by point evaluations
 of the map, recovers it from below through a schedule of shrinking
-neighborhoods:
+neighborhoods.  Its single rule, for either map kind: over the lattice
+images of each grid, the estimate at delta is the profile of
 
-    for each t: inf over grid p of the stabilized
-        inf over grid q in the delta-neighborhood of p, q != p,
-            of the norm profile of f(p) - f(q), evaluated at t.
+    the largest |f(p) - f(p + d)| over node pairs p, p + d, for every
+    nonzero lattice offset d whose length puts p + d in the strong
+    delta-neighborhood of p.
 
-The inner infimum excludes q = p.  Including it would collapse every
+Offsets d and -d give the same gap, so one of each pair is scanned.
+The offset d = 0 is excluded.  Including it would collapse every
 estimate to the maximal element (the profile of the null vector), since
 the grid, unlike the continuum, has no points other than p in every
 neighborhood.  This is the single most consequential discretization
-decision in the module.  The neighborhoods are nested, so the inner
-infimum only grows as the schedule descends; the code asserts that
+decision in the module.  The neighborhoods are nested, so the largest
+gap only shrinks as the schedule descends; the code asserts that
 monotonicity on every run instead of assuming it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,13 +46,35 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ddf import Ddf, VALUE_TOL, sibley_distance
+from .ddf import (DOMAIN_SLACK, LIMIT_MERGE_TOL, MONOTONE_SLACK, SAMPLED_IMAGE_SLACK,
+                  VALUE_TOL, Ddf, sibley_distance)
 from .errors import InvalidArgumentError, PnkitError
 from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
+
+# Largest node count of a grid of step h; a finer grid is refused before
+# anything is allocated.
+MAX_GRID_NODES = 1 << 20
 
 DEFAULT_DELTA_SCHEDULE: tuple[float, ...] = tuple(0.2 * 2.0 ** -k for k in range(7))
 DEFAULT_GRID_RESOLUTIONS: tuple[float, ...] = (1.0 / 1024.0,)
 DEFAULT_T_GRID: tuple[float, ...] = tuple(k / 1024.0 for k in range(1, 1025))
+
+
+def grid_nodes(lo: float, hi: float, h: float) -> np.ndarray:
+    """The uniform grid on [lo, hi] whose step is nearest h, at least one
+    cell; refused when it would hold more than MAX_GRID_NODES nodes."""
+    n = max(1, int(round((hi - lo) / h)))
+    if n + 1 > MAX_GRID_NODES:
+        raise InvalidArgumentError(
+            f"grid step h={h!r} needs {n + 1} nodes, more than MAX_GRID_NODES={MAX_GRID_NODES}")
+    return np.linspace(lo, hi, n + 1)
+
+
+def lattice_nodes(box, shape: Sequence[int]) -> np.ndarray:
+    """Nodes of the lattice with shape[k] evenly spaced nodes along box[k],
+    one row each, in lexicographic order."""
+    ticks = [np.linspace(a, b, n) for (a, b), n in zip(box, shape)]
+    return np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, len(ticks))
 
 
 @dataclass(frozen=True)
@@ -102,13 +136,18 @@ class PiecewiseMap1D:
             if left_owns == right_owns:
                 raise InvalidArgumentError(
                     f"breakpoint {a.hi!r} must be owned by exactly one adjacent piece")
-        slack = 1e-12
         for k, p in enumerate(self.pieces):
             for x in (p.lo, p.hi):
                 y = p.value(x)
-                if y < lo - slack or y > hi + slack:
+                if y < lo - DOMAIN_SLACK or y > hi + DOMAIN_SLACK:
                     raise InvalidArgumentError(
                         f"piece {k} maps {x!r} to {y!r}, outside the domain [{lo}, {hi}]")
+
+    dim = 1
+
+    @property
+    def box(self) -> tuple[tuple[float, float], ...]:
+        return (self.domain,)
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -137,10 +176,53 @@ class PiecewiseMap1D:
 
     def eval(self, x: float) -> float:
         x = float(x)
+        self._check_in_domain(x)
+        return float(self.eval_many(np.array([x]))[0])
+
+    def _check_in_domain(self, x: float) -> None:
         lo, hi = self.domain
         if math.isnan(x) or x < lo or x > hi:
             raise InvalidArgumentError(f"point {x!r} outside the domain [{lo}, {hi}]")
-        return float(self.eval_many(np.array([x]))[0])
+
+    def eval_points(self, P) -> np.ndarray:
+        """f at each row of an (n, 1) array of domain points, as (n, 1)."""
+        xs = np.asarray(P, dtype=float)[:, 0]
+        lo, hi = self.domain
+        outside = ~((xs >= lo) & (xs <= hi))
+        if np.any(outside):
+            self._check_in_domain(float(xs[np.argmax(outside)]))
+        return self.eval_many(xs)[:, None]
+
+    def grids(self, steps: Sequence[float]) -> tuple[float, ...]:
+        """Every step asked for: the map has a grid of any step."""
+        return tuple(steps)
+
+    def candidates(self, h: float) -> np.ndarray:
+        """Search points, (n, 1) and ascending: the grid of step h, the
+        breakpoints and the fixed points of the pieces."""
+        extras = np.array(self.breakpoints + self.piece_fixed_points(), dtype=float)
+        return np.unique(np.concatenate([grid_nodes(*self.domain, h), extras]))[:, None]
+
+    def lattice_images(self, h: float) -> tuple[np.ndarray, float]:
+        """Images of the grid of step h, (n, 1), and its exact step."""
+        xs = grid_nodes(*self.domain, h)
+        lo, hi = self.domain
+        return self.eval_many(xs)[:, None], (hi - lo) / (len(xs) - 1)
+
+    def limit_values(self, p) -> tuple[Vector, ...]:
+        """The one-sided limits at p as 1-vectors, those within
+        LIMIT_MERGE_TOL of each other counted once."""
+        x = float(p[0])
+        self._check_in_domain(x)
+        lo, hi = self.domain
+        vals: list[float] = []
+        if x > lo:
+            vals.append(self.left_limit(x))
+        if x < hi:
+            r = self.right_limit(x)
+            if all(abs(r - v) > LIMIT_MERGE_TOL for v in vals):
+                vals.append(r)
+        return tuple((v,) for v in vals)
 
     def left_limit(self, x: float) -> float:
         """Limit from below, read off the piece covering (.., x]."""
@@ -235,24 +317,8 @@ class LimitSet:
 
 
 def limit_set(pw: PiecewiseMap1D, p: float) -> LimitSet:
-    """Exact one-sided limits of the map at p.
-
-    Left limit from the piece just left of p (when p is above the left
-    domain endpoint), right limit symmetrically; values within 1e-12 are
-    deduplicated, so a continuity point yields a singleton.
-    """
-    p = float(p)
-    lo, hi = pw.domain
-    if math.isnan(p) or p < lo or p > hi:
-        raise InvalidArgumentError(f"point {p!r} outside the domain [{lo}, {hi}]")
-    vals: list[float] = []
-    if p > lo:
-        vals.append(pw.left_limit(p))
-    if p < hi:
-        r = pw.right_limit(p)
-        if all(abs(r - v) > 1e-12 for v in vals):
-            vals.append(r)
-    return LimitSet(values=tuple(vals), attained=pw.eval(p))
+    """Exact one-sided limits of the map at p, with the value attained there."""
+    return LimitSet(values=tuple(v for (v,) in pw.limit_values((p,))), attained=pw.eval(p))
 
 
 def _hull_2d(points: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -303,10 +369,12 @@ def hull_distance_1d(x: float, hull: tuple[float, float]) -> float:
     return max(0.0, lo - x, x - hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledMap:
     """A self-map of a compact box known only on a full uniform lattice.
 
+    `images` is given as one image per lattice node, in lexicographic
+    node order, and kept as one read-only array of shape `shape + (dim,)`.
     Point evaluation snaps to the nearest lattice node; this is the
     desk-scale stand-in for maps with no exact piecewise model (and the
     only 2-d map representation here).
@@ -314,7 +382,7 @@ class SampledMap:
 
     box: tuple[tuple[float, float], ...]
     resolution: float
-    images: tuple[Vector, ...]
+    images: np.ndarray
 
     def __post_init__(self):
         box = tuple((float(a), float(b)) for a, b in self.box)
@@ -327,16 +395,22 @@ class SampledMap:
             raise InvalidArgumentError(f"resolution must be positive, got {self.resolution!r}")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", res)
-        object.__setattr__(self, "images",
-                           tuple(as_vector(v, len(box)) for v in self.images))
-        if len(self.images) != int(np.prod(self.shape)):
+        imgs = np.array(self.images, dtype=float)
+        count = math.prod(self.shape)
+        if imgs.shape != (count, len(box)):
             raise InvalidArgumentError(
-                f"expected {int(np.prod(self.shape))} images for the full lattice, got {len(self.images)}")
-        slack = 1e-9
-        for v in self.images:
-            for c, (a, b) in zip(v, box):
-                if c < a - slack or c > b + slack:
-                    raise InvalidArgumentError(f"image {v!r} escapes the box")
+                f"expected {count} images of dimension {len(box)} for the full lattice, "
+                f"got an array of shape {imgs.shape}")
+        lo, hi = np.array(box).T
+        # NaN compares false, so a non-finite coordinate escapes too.
+        inside = (imgs >= lo - SAMPLED_IMAGE_SLACK) & (imgs <= hi + SAMPLED_IMAGE_SLACK)
+        escapes = ~np.all(inside, axis=1)
+        if np.any(escapes):
+            raise InvalidArgumentError(
+                f"image {tuple(imgs[np.argmax(escapes)].tolist())!r} escapes the box")
+        imgs = imgs.reshape(self.shape + (len(box),))
+        imgs.flags.writeable = False
+        object.__setattr__(self, "images", imgs)
 
     @property
     def dim(self) -> int:
@@ -346,92 +420,70 @@ class SampledMap:
     def shape(self) -> tuple[int, ...]:
         return tuple(int(round((b - a) / self.resolution)) + 1 for a, b in self.box)
 
-    @cached_property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linspace(a, b, n) for (a, b), n in zip(self.box, self.shape))
+    def _snap(self, P) -> np.ndarray:
+        """Index of the lattice node nearest each row of P, clipped into
+        the lattice; halves round to even."""
+        lo = np.array([a for a, _ in self.box])
+        idx = np.rint((np.asarray(P, dtype=float) - lo) / self.resolution)
+        return np.clip(idx, 0, np.array(self.shape) - 1).astype(np.intp)
 
-    @cached_property
-    def _images_np(self) -> np.ndarray:
-        return np.array(self.images, dtype=float).reshape(self.shape + (self.dim,))
+    def eval_points(self, P) -> np.ndarray:
+        """The image of the node nearest each row of an (n, dim) array."""
+        P = np.asarray(P, dtype=float)
+        if not np.all(np.isfinite(P)):
+            raise InvalidArgumentError("point coordinates must be finite")
+        return self.images[tuple(self._snap(P).T)]
 
-    def lattice_points(self) -> list[Vector]:
-        if self.dim == 1:
-            return [(float(x),) for x in self.axes[0]]
-        xs, ys = self.axes
-        return [(float(a), float(b)) for a in xs for b in ys]
+    def grids(self, steps: Sequence[float]) -> tuple[float, ...]:
+        """The lattice step alone: the map has no other grid."""
+        return (self.resolution,)
 
-    def _snap(self, p: Vector) -> tuple[int, ...]:
-        idx = []
-        for c, (a, _), n in zip(p, self.box, self.shape):
-            i = int(round((c - a) / self.resolution))
-            idx.append(min(max(i, 0), n - 1))
-        return tuple(idx)
+    def candidates(self, h: float) -> np.ndarray:
+        """Every lattice node, (n, dim), in lexicographic order."""
+        return lattice_nodes(self.box, self.shape)
 
-    def eval_vec(self, p) -> Vector:
-        v = as_vector(p, self.dim)
-        return tuple(float(c) for c in self._images_np[self._snap(v)])
+    def lattice_images(self, h: float) -> tuple[np.ndarray, float]:
+        return self.images, self.resolution
+
+    def limit_values(self, p) -> tuple[Vector, ...]:
+        return self.neighbor_images(p)
 
     def neighbor_images(self, p) -> tuple[Vector, ...]:
         """Images of the lattice nodes adjacent to p (p's own node
         excluded): the grid surrogate for limit values at p."""
-        v = as_vector(p, self.dim)
-        base = self._snap(v)
+        base = self._snap(as_vector(p, self.dim))
         out = []
-        offsets = [-1, 0, 1]
-        for off in np.ndindex(*(3,) * self.dim):
-            d = tuple(offsets[o] for o in off)
-            if all(x == 0 for x in d):
-                continue
-            idx = tuple(b + x for b, x in zip(base, d))
-            if all(0 <= i < n for i, n in zip(idx, self.shape)):
-                out.append(tuple(float(c) for c in self._images_np[idx]))
+        for d in itertools.product((-1, 0, 1), repeat=self.dim):
+            idx = tuple(int(b) + x for b, x in zip(base, d))
+            if any(d) and all(0 <= i < n for i, n in zip(idx, self.shape)):
+                out.append(tuple(self.images[idx].tolist()))
         return tuple(out)
 
     @classmethod
     def from_function(cls, fn: Callable, box, resolution: float) -> "SampledMap":
         box = tuple((float(a), float(b)) for a, b in box)
-        shape = tuple(int(round((b - a) / float(resolution))) + 1 for a, b in box)
-        axes = [np.linspace(a, b, n) for (a, b), n in zip(box, shape)]
-        pts = [(float(x),) for x in axes[0]] if len(box) == 1 else \
-              [(float(a), float(b)) for a in axes[0] for b in axes[1]]
-        images = [as_vector(fn(p), len(box)) for p in pts]
-        return cls(box=box, resolution=float(resolution), images=tuple(images))
+        nodes = lattice_nodes(box, [int(round((b - a) / float(resolution))) + 1 for a, b in box])
+        images = [as_vector(fn(tuple(p)), len(box)) for p in nodes.tolist()]
+        return cls(box=box, resolution=float(resolution), images=images)
 
     def to_json_obj(self) -> dict:
         return {"box": [[a, b] for a, b in self.box],
                 "resolution": self.resolution,
-                "images": [list(v) for v in self.images]}
+                "images": self.images.reshape(-1, self.dim).tolist()}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SampledMap":
         try:
             return cls(box=tuple((float(a), float(b)) for a, b in obj["box"]),
                        resolution=float(obj["resolution"]),
-                       images=tuple(tuple(float(c) for c in v) for v in obj["images"]))
+                       images=obj["images"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"sampled map spec: {exc}") from exc
 
 
-def map_dim(m) -> int:
-    if isinstance(m, PiecewiseMap1D):
-        return 1
-    if isinstance(m, SampledMap):
-        return m.dim
-    raise InvalidArgumentError(f"unsupported map type {type(m).__name__}")
-
-
 def map_eval_vec(m, p) -> Vector:
-    """Evaluate either map kind on a coordinate tuple."""
-    if isinstance(m, PiecewiseMap1D):
-        v = as_vector(p, 1)
-        return (m.eval(v[0]),)
-    return m.eval_vec(p)
-
-
-def map_box(m) -> tuple[tuple[float, float], ...]:
-    if isinstance(m, PiecewiseMap1D):
-        return (m.domain,)
-    return m.box
+    """Evaluate either map kind at one coordinate tuple."""
+    return tuple(m.eval_points([as_vector(p, m.dim)])[0].tolist())
 
 
 def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
@@ -450,15 +502,6 @@ def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
         for q in limit_set(pw, b).values:
             worst = max(worst, abs(fb - q))
     return norm_profile(space, worst)
-
-
-def _neighbor_offsets_1d(space: PnSpace, delta: float, step: float, n: int) -> int:
-    """Largest j >= 1 with the j-th lattice neighbor inside the strong
-    delta-neighborhood; 0 when even the nearest neighbor is outside.
-    Profiles shrink as the offset grows, so the admitted offsets are a
-    prefix of 1..n."""
-    admitted = profile_at(space, np.arange(1, n + 1) * step, delta) > 1.0 - delta
-    return int(np.count_nonzero(admitted))
 
 
 @dataclass(frozen=True)
@@ -509,28 +552,24 @@ def _validate_descending(name: str, values: Sequence[float]) -> tuple[float, ...
     return vals
 
 
-def _largest_gap_1d(fv: np.ndarray, max_offset: int) -> float:
-    worst = 0.0
-    for j in range(1, max_offset + 1):
-        worst = max(worst, float(np.max(np.abs(fv[j:] - fv[:-j]))))
-    return worst
-
-
-def _largest_gap_sampled(m: SampledMap, space: PnSpace, delta: float) -> float | None:
-    img = m._images_np
-    # Every nonzero offset that keeps some node pair inside the lattice.
-    grids = np.meshgrid(*(np.arange(1 - n, n) for n in m.shape), indexing="ij")
-    offsets = np.stack(grids, axis=-1).reshape(-1, m.dim)
-    offsets = offsets[np.any(offsets != 0, axis=1)]
-    r = m.resolution * vec_norms(offsets)
-    worst = None
-    for d in offsets[profile_at(space, r, delta) > 1.0 - delta]:
-        src = tuple(slice(max(x, 0), img.shape[k] + min(x, 0)) for k, x in enumerate(d))
-        dst = tuple(slice(max(-x, 0), img.shape[k] + min(-x, 0)) for k, x in enumerate(d))
-        diff = img[src] - img[dst]
-        gap = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
-        worst = gap if worst is None else max(worst, gap)
-    return worst
+def _largest_gaps(space: PnSpace, images: np.ndarray, step: float,
+                  deltas: Sequence[float]) -> list[float | None]:
+    """Per delta, the largest image displacement between lattice nodes
+    at an offset admitted to the strong delta-neighborhood, or None when
+    none is; `images` has the lattice shape plus a coordinate axis."""
+    shape = images.shape[:-1]
+    offsets = lattice_nodes([(1 - n, n - 1) for n in shape], [2 * n - 1 for n in shape])
+    # Lexicographic order pairs each offset with its negation across the
+    # zero offset in the middle: keep the half after it.
+    offsets = offsets[len(offsets) // 2 + 1:].astype(np.intp)
+    r = step * vec_norms(offsets)
+    admitted = np.array([profile_at(space, r, d) > 1.0 - d for d in deltas])
+    gaps = np.zeros(len(offsets))
+    for k in np.flatnonzero(np.any(admitted, axis=0)):
+        src = tuple(slice(max(x, 0), n + min(x, 0)) for x, n in zip(offsets[k], shape))
+        dst = tuple(slice(max(-x, 0), n + min(-x, 0)) for x, n in zip(offsets[k], shape))
+        gaps[k] = np.max(vec_norms(images[src] - images[dst]))
+    return [float(np.max(gaps[row])) if np.any(row) else None for row in admitted]
 
 
 def discontinuity_estimate(space: PnSpace, m, *,
@@ -558,38 +597,25 @@ def discontinuity_estimate(space: PnSpace, m, *,
         raise InvalidArgumentError("t_grid entries must be positive")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise InvalidArgumentError("t_grid must be strictly ascending")
-    if map_dim(m) != space.dimension:
+    if m.dim != space.dimension:
         raise InvalidArgumentError(
-            f"map dimension {map_dim(m)} does not match space dimension {space.dimension}")
+            f"map dimension {m.dim} does not match space dimension {space.dimension}")
 
     levels: list[RefinementLevel] = []
     final_gap: float | None = None
     prev_final_gap: float | None = None
 
-    if isinstance(m, SampledMap):
-        grids = (m.resolution,)
-
-    for h in grids:
-        if isinstance(m, PiecewiseMap1D):
-            lo, hi = m.domain
-            n = max(1, int(round((hi - lo) / h)))
-            xs = np.linspace(lo, hi, n + 1)
-            fv = m.eval_many(xs)
-            step = (hi - lo) / n
+    for h in m.grids(grids):
+        images, step = m.lattice_images(h)
         level_gap_prev = None
-        for delta in deltas:
-            if isinstance(m, PiecewiseMap1D):
-                max_off = _neighbor_offsets_1d(space, delta, step, n)
-                gap = _largest_gap_1d(fv, max_off) if max_off >= 1 else None
-            else:
-                gap = _largest_gap_sampled(m, space, delta)
+        for delta, gap in zip(deltas, _largest_gaps(space, images, step, deltas)):
             if gap is None:
                 warnings.warn(
                     f"delta={delta} admits no lattice neighbors at grid step; level skipped",
                     RuntimeWarning, stacklevel=2)
                 levels.append(RefinementLevel(h, delta, None))
                 continue
-            if level_gap_prev is not None and gap > level_gap_prev + 1e-15:
+            if level_gap_prev is not None and gap > level_gap_prev + MONOTONE_SLACK:
                 raise PnkitError(
                     "neighborhood infimum decreased under refinement; "
                     "nested-neighborhood monotonicity is broken")

@@ -30,11 +30,10 @@ import numpy as np
 
 from .ddf import Ddf, VALUE_TOL, ddf_leq_witness
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
-                      DEFAULT_T_GRID, PiecewiseMap1D, SampledMap, convex_hull,
-                      discontinuity_measure, hull_distance_1d, limit_set,
-                      map_dim, map_eval_vec)
+                      DEFAULT_T_GRID, convex_hull, discontinuity_measure,
+                      hull_distance_1d, map_eval_vec)
 from .errors import InvalidArgumentError, TheoremViolationError
-from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norm, vec_sub
+from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norm, vec_norms, vec_sub
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,12 @@ class KakutaniResult:
                 "distance": self.distance}
 
 
-def _candidates_1d(pw: PiecewiseMap1D, h: float) -> np.ndarray:
-    lo, hi = pw.domain
-    n = max(1, int(round((hi - lo) / h)))
-    base = np.linspace(lo, hi, n + 1)
-    extras = np.array(pw.breakpoints + pw.piece_fixed_points(), dtype=float)
-    return np.unique(np.concatenate([base, extras]))
+def _search_steps(m, h: float, max_refinements: int) -> tuple[float, ...]:
+    """The grid steps a search tries in turn: h, halved up to `max_refinements` times."""
+    h = float(h)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise InvalidArgumentError(f"grid resolution must be positive, got {h!r}")
+    return m.grids(tuple(h * 0.5 ** k for k in range(max_refinements + 1)))
 
 
 def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float,
@@ -101,29 +100,19 @@ def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float,
     exist; a grid miss triggers one refinement by halving h, after which
     a persistent miss raises with the failing report attached.
     """
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise InvalidArgumentError(f"grid resolution must be positive, got {h!r}")
-    if map_dim(m) != space.dimension:
+    steps = _search_steps(m, h, max_refinements)
+    if m.dim != space.dimension:
         raise InvalidArgumentError("map and space dimensions must agree")
 
     report = None
-    cur_h = h
-    for attempt in range(max_refinements + 1):
-        if isinstance(m, PiecewiseMap1D):
-            cands = _candidates_1d(m, cur_h)
-            fv = m.eval_many(cands)
-            disp = np.abs(fv - cands)
-            i = int(np.argmin(disp))  # ties resolve to the smallest candidate
-            candidate: Vector = (float(cands[i]),)
-            displacement = float(disp[i])
-            diff = (float(fv[i] - cands[i]),)
-        else:
-            pts = m.lattice_points()
-            best = min(pts, key=lambda p: (vec_norm(vec_sub(m.eval_vec(p), p)), p))
-            candidate = best
-            diff = vec_sub(m.eval_vec(best), best)
-            displacement = vec_norm(diff)
+    for attempt, cur_h in enumerate(steps):
+        cands = m.candidates(cur_h)
+        diffs = m.eval_points(cands) - cands
+        disp = vec_norms(diffs)
+        i = int(np.argmin(disp))  # ties resolve to the first candidate in order
+        candidate: Vector = tuple(cands[i].tolist())
+        displacement = float(disp[i])
+        diff = tuple(diffs[i].tolist())
 
         residual = prob_norm(space, diff)
         margin, _ = ddf_leq_witness(psi, residual)
@@ -133,19 +122,10 @@ def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float,
                                 margin=margin, grid_h=cur_h, refinements=attempt)
         if dominance:
             return report
-        if isinstance(m, SampledMap):
-            break  # a sampled map has no finer lattice to refine onto
-        cur_h *= 0.5
     raise TheoremViolationError(
         f"no candidate dominates the discontinuity measure "
         f"(best displacement {report.displacement!r} at {report.candidate!r})",
         report=report)
-
-
-def _limit_values(m, p: Vector) -> tuple:
-    if isinstance(m, PiecewiseMap1D):
-        return limit_set(m, p[0]).values
-    return m.neighbor_images(p)
 
 
 def _hull_distance(p: Vector, hull) -> float:
@@ -182,28 +162,19 @@ def kakutani_search(m, h: float, tol: float | None = None,
     """Find a candidate within `tol` of the convex hull of its own limit
     values, preferring exact containment.
 
-    tol defaults to one grid cell: h, or the lattice step of a sampled
-    map, whose lattice is its only candidate set.  Existence is
-    guaranteed, so a miss after refinement raises.
+    tol defaults to one cell of the first grid searched: h, or the
+    lattice step of a sampled map, whose lattice is its only candidate
+    set.  Existence is guaranteed, so a miss after refinement raises.
     """
-    h = float(h)
-    if not (h > 0.0 and math.isfinite(h)):
-        raise InvalidArgumentError(f"grid resolution must be positive, got {h!r}")
-    if tol is None:
-        tol = m.resolution if isinstance(m, SampledMap) else h
-    tol = float(tol)
+    steps = _search_steps(m, h, max_refinements)
+    tol = float(steps[0] if tol is None else tol)
     if tol < 0.0:
         raise InvalidArgumentError(f"tolerance must be nonnegative, got {tol!r}")
 
     best: KakutaniResult | None = None
-    cur_h = h
-    for _ in range(max_refinements + 1):
-        if isinstance(m, PiecewiseMap1D):
-            cands = [(float(x),) for x in _candidates_1d(m, cur_h)]
-        else:
-            cands = m.lattice_points()
-        for p in cands:
-            hull = convex_hull(_limit_values(m, p))
+    for cur_h in steps:
+        for p in map(tuple, m.candidates(cur_h).tolist()):
+            hull = convex_hull(m.limit_values(p))
             d = _hull_distance(p, hull)
             if best is None or d < best.distance:
                 best = KakutaniResult(point=p, hull=hull, distance=d)
@@ -211,9 +182,6 @@ def kakutani_search(m, h: float, tol: float | None = None,
                     break
         if best is not None and best.distance <= tol:
             return best
-        if isinstance(m, SampledMap):
-            break
-        cur_h *= 0.5
     raise TheoremViolationError(
         f"no candidate within {tol!r} of its own limit hull "
         f"(best distance {best.distance!r} at {best.point!r})",
@@ -250,8 +218,7 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
     # limit value.
     pk = kk.point
     fk = map_eval_vec(m, pk)
-    far = max(vec_norm(vec_sub(fk, (q,) if not isinstance(q, tuple) else q))
-              for q in _limit_values(m, pk))
+    far = max(vec_norm(vec_sub(fk, q)) for q in m.limit_values(pk))
     mid = profile_at(space, far, ts)
     upper = profile_at(space, vec_norm(vec_sub(fk, pk)), ts) - mid
     lower = mid - psi.eval_many(ts)

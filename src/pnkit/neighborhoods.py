@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .ddf import Ddf, left_limit_of_infimum
-from .discont import PiecewiseMap1D, map_box, map_dim, map_eval_vec
+from .discont import PiecewiseMap1D, lattice_nodes
 from .errors import InvalidArgumentError
 from .pn_space import (PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norm,
                        vec_norms, vec_sub)
@@ -110,14 +110,8 @@ def default_tprime_schedule(t: float, levels: int = 21) -> tuple[float, ...]:
 
 
 def _probe_lattice(m, budget: int) -> np.ndarray:
-    box = map_box(m)
-    if len(box) == 1:
-        lo, hi = box[0]
-        return np.linspace(lo, hi, budget)[:, None]
-    side = max(2, int(math.isqrt(budget)))
-    xs = np.linspace(box[0][0], box[0][1], side)
-    ys = np.linspace(box[1][0], box[1][1], side)
-    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    side = budget if m.dim == 1 else max(2, int(math.isqrt(budget)))
+    return lattice_nodes(m.box, (side,) * m.dim)
 
 
 def _exact_ball_confirmation(space: PnSpace, pw: PiecewiseMap1D, p: float,
@@ -162,22 +156,25 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
         raise InvalidArgumentError("threshold schedule entries must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidArgumentError("threshold schedule must be strictly descending")
-    if domain_sample.dimension != map_dim(m) or map_dim(m) != space.dimension:
+    if probe_budget < 1:
+        raise InvalidArgumentError(f"probe_budget must be at least 1, got {probe_budget!r}")
+    if domain_sample.dimension != m.dim or m.dim != space.dimension:
         raise InvalidArgumentError("sample, map, and space dimensions must agree")
 
     lattice = _probe_lattice(m, probe_budget)
-    image_norms = vec_norms(np.reshape([map_eval_vec(m, q) for q in lattice], lattice.shape))
+    image_norms = vec_norms(m.eval_points(lattice))
+    sample_norms = vec_norms(m.eval_points(domain_sample.points))
     tprimes = np.array(schedule)[:, None]
     exact_route = isinstance(m, PiecewiseMap1D) and len(space.generator.jumps) == 1
 
     entries = []
-    for p in domain_sample.points:
+    for p, p_norm in zip(domain_sample.points, sample_norms):
         # Row k: the lattice points inside the t'_k-neighborhood of p.  The
         # image diameter of those points and p is the profile of the
         # largest image norm among them.
         members = profile_at(space, vec_norms(lattice - p), tprimes) > 1.0 - tprimes
         worst = np.max(np.where(members, image_norms, 0.0), axis=1, initial=0.0)
-        worst = np.maximum(worst, vec_norm(map_eval_vec(m, p)))
+        worst = np.maximum(worst, p_norm)
         concentrated = profile_at(space, worst, t) > 1.0 - t
         witness = None
         for tprime, ok in zip(schedule, concentrated):
@@ -230,6 +227,8 @@ def check_pairwise_image_separation(space: PnSpace, m, pairs: Sequence[tuple], t
     t = float(t)
     if not (t > 0.0):
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
+    if m.dim != space.dimension:
+        raise InvalidArgumentError("map and space dimensions must agree")
     if report.t != t:
         raise InvalidArgumentError(
             f"continuity report was computed at t={report.t!r}, not t={t!r}")
@@ -237,15 +236,14 @@ def check_pairwise_image_separation(space: PnSpace, m, pairs: Sequence[tuple], t
         raise InvalidArgumentError("map is not certified: continuity report has unwitnessed points")
 
     checked_pairs = []
-    diffs = []
     for raw_p, raw_q in pairs:
         p = as_vector(raw_p, space.dimension)
         q = as_vector(raw_q, space.dimension)
         if p == q:
             raise InvalidArgumentError(f"pairs must be distinct, got {p!r} twice")
         checked_pairs.append((p, q))
-        diffs.append(vec_sub(map_eval_vec(m, p), map_eval_vec(m, q)))
-    vals = profile_at(space, vec_norms(np.reshape(diffs, (len(diffs), map_dim(m)))), t)
+    ends = np.reshape(checked_pairs, (len(checked_pairs), 2, space.dimension))
+    vals = profile_at(space, vec_norms(m.eval_points(ends[:, 0]) - m.eval_points(ends[:, 1])), t)
     violations = tuple(PairwiseViolation(p=p, q=q, value=float(val))
                        for (p, q), val in zip(checked_pairs, vals) if not val > 1.0 - t)
     return PairwiseReport(t=t, checked=len(checked_pairs), violations=violations)

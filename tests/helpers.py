@@ -21,7 +21,7 @@ from pnkit.ddf import _cluster_representatives, comparison_probes
 from pnkit.discont import map_eval_vec
 from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_lattice,
                                  default_tprime_schedule)
-from pnkit.pn_space import vec_norm, vec_sub
+from pnkit.pn_space import profile_at, vec_norm, vec_norms, vec_sub
 from pnkit.tnorms import TNormKind, tnorm_apply, tnorm_apply_np
 
 
@@ -192,3 +192,75 @@ def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> lis
             break
         out.append(witness)
     return out
+
+
+def sampled_eval_oracle(m, p) -> tuple:
+    """Image of the lattice node nearest p, snapping each coordinate with
+    Python's round (halves to even) and clipping into the lattice."""
+    idx = tuple(min(max(int(round((c - a) / m.resolution)), 0), n - 1)
+                for c, (a, _), n in zip(p, m.box, m.shape))
+    return tuple(float(c) for c in m.images[idx])
+
+
+def _lattice_points_oracle(m) -> list[tuple]:
+    """A sampled map's lattice nodes as tuples, in lexicographic order."""
+    axes = [[float(x) for x in np.linspace(a, b, n)] for (a, b), n in zip(m.box, m.shape)]
+    if len(axes) == 1:
+        return [(x,) for x in axes[0]]
+    return [(x, y) for x in axes[0] for y in axes[1]]
+
+
+def _neighbor_offsets_1d(space, delta: float, step: float, n: int) -> int:
+    admitted = profile_at(space, np.arange(1, n + 1) * step, delta) > 1.0 - delta
+    return int(np.count_nonzero(admitted))
+
+
+def _largest_gap_1d(fv: np.ndarray, max_offset: int) -> float:
+    worst = 0.0
+    for j in range(1, max_offset + 1):
+        worst = max(worst, float(np.max(np.abs(fv[j:] - fv[:-j]))))
+    return worst
+
+
+def _largest_gap_sampled(m, space, delta: float):
+    img = np.asarray(m.images)
+    grids = np.meshgrid(*(np.arange(1 - n, n) for n in m.shape), indexing="ij")
+    offsets = np.stack(grids, axis=-1).reshape(-1, m.dim)
+    offsets = offsets[np.any(offsets != 0, axis=1)]
+    r = m.resolution * vec_norms(offsets)
+    worst = None
+    for d in offsets[profile_at(space, r, delta) > 1.0 - delta]:
+        src = tuple(slice(max(x, 0), img.shape[k] + min(x, 0)) for k, x in enumerate(d))
+        dst = tuple(slice(max(-x, 0), img.shape[k] + min(-x, 0)) for k, x in enumerate(d))
+        diff = img[src] - img[dst]
+        gap = float(np.max(np.sqrt(np.sum(diff * diff, axis=-1))))
+        worst = gap if worst is None else max(worst, gap)
+    return worst
+
+
+def estimator_levels_oracle(space, m, deltas, grids) -> list[tuple]:
+    """(grid step, delta, largest pair gap or None) per refinement level,
+    by the two routines the estimator had per map kind: a prefix of
+    1-d offsets on the piecewise map's grids, and every admitted nonzero
+    offset, each with its own gap, on a sampled map's lattice."""
+    out = []
+    if isinstance(m, PiecewiseMap1D):
+        lo, hi = m.domain
+        for h in grids:
+            n = max(1, int(round((hi - lo) / h)))
+            fv = m.eval_many(np.linspace(lo, hi, n + 1))
+            for delta in deltas:
+                max_off = _neighbor_offsets_1d(space, delta, (hi - lo) / n, n)
+                out.append((h, delta, _largest_gap_1d(fv, max_off) if max_off >= 1 else None))
+    else:
+        for delta in deltas:
+            out.append((m.resolution, delta, _largest_gap_sampled(m, space, delta)))
+    return out
+
+
+def dominance_candidate_oracle(m) -> tuple:
+    """The lattice node of least displacement |f(p) - p|, ties going to
+    the lexicographically smallest node, by one scalar evaluation per
+    node."""
+    return min(_lattice_points_oracle(m),
+               key=lambda p: (vec_norm(vec_sub(sampled_eval_oracle(m, p), p)), p))

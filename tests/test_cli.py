@@ -1,12 +1,15 @@
 """Tests for the command-line runner and scenario generator."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from pnkit import SampledMap, TheoremViolationError, kakutani_search
 from pnkit.cli import (ScenarioFamily, generate_scenarios, load_config, main,
-                       parse_config, parse_ddf_spec, run_verify)
+                       parse_config, parse_ddf_spec, run_verify, write_csv,
+                       write_report)
 from pnkit.errors import InvalidArgumentError
 
 JUMP_CONFIG = {
@@ -194,6 +197,25 @@ class TestVerifyCommand:
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
 
 
+class TestGoldenOutputs:
+    """Pinned digests of the shipped configs' report and curves: a change
+    to any number the verify pipeline writes shows here."""
+
+    @pytest.mark.parametrize("name, report_sha, csv_sha", [
+        ("jump", "36e4a47355d8df73b2f73b8572b8e6db0c2bec6622fba4aaa6b2bff966fc2989",
+         "0f6d9d49d7e40f4fb7810ef85ee9c48c8dd105e8e9626ba6ff7a709f0833c239"),
+        ("batch", "9fe7563b1c71ef7a0115259639e8c989f3ebd239fd3c01a511cab4b5fb7b8bb9",
+         "3332e48ba721b14fd81dc74e637c29e44f58037888e9b04d289217b9ec4a6b3b"),
+    ])
+    def test_report_and_csv_digests(self, tmp_path, name, report_sha, csv_sha):
+        config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        report, rows = run_verify(load_config(str(config)))
+        write_report(report, str(tmp_path / "report.json"))
+        write_csv(rows, str(tmp_path / "curves.csv"))
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest() == csv_sha
+
+
 class TestExitCodes:
     def test_malformed_json_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -242,6 +264,9 @@ class TestExitCodes:
         ("continuity", {"sample": 9}, "sample"),
         ("continuity", {"probe_budget": "x"}, "probe_budget"),
         ("diameter", {"points": [["a"], [1.0]]}, "points"),
+        ("continuity", {"probe_budget": -1}, "probe_budget"),
+        ("continuity", {"probe_budget": 0}, "probe_budget"),
+        ("continuity", {"sample": {"count": -3}}, "sample.count"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
@@ -249,6 +274,14 @@ class TestExitCodes:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["verify-t34"], ["psi", "--route", "estimate"]])
+    def test_too_fine_grid_is_validation_error(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, {"schedules": {"grids": [1e-7]}})
+        assert main(argv + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "h=1e-07" in err and "10000001 nodes" in err
         assert "Traceback" not in err
 
     def test_config_validation_reports_field(self, tmp_path):

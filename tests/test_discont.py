@@ -1,15 +1,22 @@
 """Tests for piecewise maps, limit sets, hulls, and the discontinuity measure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnkit import (Ddf, InvalidArgumentError, Piece, PiecewiseMap1D, PnSpace,
                    SampledMap, compare_discontinuity_routes, constant_map,
                    convex_hull, discontinuity_estimate, discontinuity_exact,
                    left_limit_of_infimum, limit_set, make_epsilon, prob_norm,
                    sibley_distance)
+from pnkit.cli import ScenarioFamily, generate_scenarios
+from pnkit.discont import MAX_GRID_NODES, map_eval_vec
+
+from helpers import dyadic_ddf, estimator_levels_oracle, sampled_eval_oracle
 
 
 def jump_map() -> PiecewiseMap1D:
@@ -169,8 +176,8 @@ class TestConvexHull:
 class TestSampledMap:
     def test_snap_evaluation(self):
         m = SampledMap.from_function(lambda p: (p[0] * 0.5,), ((0.0, 1.0),), 1.0 / 16)
-        assert m.eval_vec((0.5,)) == (0.25,)
-        assert m.eval_vec((0.51,)) == (0.25,)  # snaps to the nearest node
+        assert map_eval_vec(m, (0.5,)) == (0.25,)
+        assert map_eval_vec(m, (0.51,)) == (0.25,)  # snaps to the nearest node
 
     def test_neighbor_images_exclude_center(self):
         m = SampledMap.from_function(lambda p: (p[0],), ((0.0, 1.0),), 0.25)
@@ -190,7 +197,7 @@ class TestSampledMap:
         m = SampledMap.from_function(lambda p: (p[0] * 0.5, p[1] * 0.5),
                                      ((0.0, 1.0), (0.0, 1.0)), 0.25)
         assert m.shape == (5, 5)
-        assert m.eval_vec((1.0, 1.0)) == (0.5, 0.5)
+        assert map_eval_vec(m, (1.0, 1.0)) == (0.5, 0.5)
 
 
 class TestExactMeasure:
@@ -336,3 +343,99 @@ class TestRouteComparison:
         cmp = compare_discontinuity_routes(unit_space, three_piece_map())
         assert cmp.agree
         assert cmp.exact.jumps[0][0] == pytest.approx(0.3, abs=1e-12)
+
+
+def _random_piecewise(rng: np.random.Generator, kind: str) -> PiecewiseMap1D:
+    family = ScenarioFamily(count=1, pieces=(1, 5), kind=kind)
+    return generate_scenarios(family, int(rng.integers(2 ** 31)))[0]
+
+
+def _random_sampled(rng: np.random.Generator, dim: int, box: tuple, resolution: float):
+    n = int(round((box[1] - box[0]) / resolution)) + 1
+    images = rng.uniform(box[0], box[1], (n ** dim, dim))
+    return SampledMap(box=(box,) * dim, resolution=resolution, images=images)
+
+
+class TestMapInterface:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["constant", "affine"]))
+    def test_piecewise_eval_points_matches_eval(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        m = _random_piecewise(rng, kind)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 20), m.breakpoints, m.domain])
+        got = m.eval_points(xs[:, None])
+        assert got.shape == (len(xs), 1)
+        assert got[:, 0].tolist() == [m.eval(x) for x in xs]
+        for bad in (-1e-9, 1.0 + 1e-9, math.nan):
+            with pytest.raises(InvalidArgumentError, match="outside the domain"):
+                m.eval(bad)
+            with pytest.raises(InvalidArgumentError, match="outside the domain"):
+                m.eval_points(np.append(xs, bad)[:, None])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           box=st.sampled_from([(0.0, 1.0), (-0.5, 1.5)]),
+           resolution=st.sampled_from([0.25, 0.125, 0.1, 1.0 / 3.0]))
+    def test_sampled_eval_points_matches_round_snap(self, seed, dim, box, resolution):
+        rng = np.random.default_rng(seed)
+        m = _random_sampled(rng, dim, box, resolution)
+        a, b = box
+        n = m.shape[0]
+        halves = [a + (k + 0.5) * resolution for k in range(n - 1)]
+        nodes = list(np.linspace(a, b, n))
+        coords = halves + nodes + list(rng.uniform(a - 0.5, b + 0.5, 12)) + [a - 3.0, b + 3.0]
+        points = np.array([[float(rng.choice(coords)) for _ in range(dim)] for _ in range(60)])
+        got = m.eval_points(points)
+        assert got.shape == (60, dim)
+        assert [tuple(r) for r in got.tolist()] == [sampled_eval_oracle(m, p) for p in points]
+
+    def test_half_node_rounds_to_even(self):
+        m = SampledMap.from_function(lambda p: p, ((0.0, 1.0),), 0.25)
+        assert m.eval_points([[0.125], [0.375], [0.625], [0.875]])[:, 0].tolist() == \
+            [0.0, 0.5, 0.5, 1.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(
+               ["constant", "affine", "sampled_1d", "sampled_2d"]),
+           single_step=st.booleans())
+    def test_estimator_levels_match_per_kind_oracle(self, seed, kind, single_step):
+        rng = np.random.default_rng(seed)
+        dim = 2 if kind == "sampled_2d" else 1
+        sp = PnSpace(dimension=dim,
+                     generator=dyadic_ddf(rng, max_jumps=1 if single_step else 4, full_mass=True))
+        if kind in ("constant", "affine"):
+            m = _random_piecewise(rng, kind)
+        else:
+            m = _random_sampled(rng, dim, (0.0, 1.0), 0.125 if dim == 2 else 1.0 / 64)
+        deltas = (0.6, 0.4, 0.2, 0.1, 0.05)
+        grids = (1.0 / 32, 1.0 / 100)
+        want = estimator_levels_oracle(sp, m, deltas, grids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            if all(gap is None for _, _, gap in want):
+                with pytest.raises(InvalidArgumentError):
+                    discontinuity_estimate(sp, m, delta_schedule=deltas, grid_resolutions=grids)
+                return
+            est = discontinuity_estimate(sp, m, delta_schedule=deltas, grid_resolutions=grids,
+                                         t_grid=(0.25, 0.5, 1.0))
+        assert [(lv.grid_h, lv.delta, lv.largest_pair_gap) for lv in est.levels] == want
+
+    def test_limit_dedupe_at_merge_tolerance(self):
+        for gap, count in ((0.9e-12, 1), (1.1e-12, 2)):
+            m = PiecewiseMap1D(domain=(0.0, 1.0),
+                               pieces=(Piece(0.0, 0.5, "left", 0.0, 0.3),
+                                       Piece(0.5, 1.0, "left", 0.0, 0.3 + gap)))
+            ls = limit_set(m, 0.5)
+            assert ls.values == (0.3, 0.3 + gap)[:count]
+            assert ls.attained == 0.3 + gap
+            assert m.limit_values((0.5,)) == tuple((v,) for v in ls.values)
+
+    def test_lattice_count_does_not_overflow(self):
+        with pytest.raises(InvalidArgumentError, match=str((10 ** 12 + 1) ** 2)):
+            SampledMap(box=((0.0, 1.0), (0.0, 1.0)), resolution=1e-12, images=[(0.5, 0.5)])
+
+    def test_grid_node_budget(self):
+        m = jump_map()
+        assert len(m.candidates(1.0 / (MAX_GRID_NODES - 1))) >= MAX_GRID_NODES
+        with pytest.raises(InvalidArgumentError, match=f"needs {MAX_GRID_NODES + 1} nodes"):
+            m.lattice_images(1.0 / MAX_GRID_NODES)

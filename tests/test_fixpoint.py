@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnkit import (InvalidArgumentError, Piece, PiecewiseMap1D,
                    SampledMap, TheoremViolationError, constant_map, ddf_leq,
                    discontinuity_exact, find_approx_fixed_point,
                    kakutani_search, make_epsilon, sibley_distance,
                    verify_approx_fixed_point)
+from pnkit.ddf import Ddf
+from pnkit.pn_space import PnSpace, vec_norm, vec_sub
+
+from helpers import dominance_candidate_oracle, sampled_eval_oracle
 
 H = 1.0 / 1024
 
@@ -27,6 +33,25 @@ def halving_map() -> PiecewiseMap1D:
 
 
 class TestDominanceSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]))
+    def test_sampled_candidate_matches_scalar_oracle(self, seed, dim):
+        # Images on the lattice itself make many displacements tie exactly.
+        rng = np.random.default_rng(seed)
+        images = rng.integers(0, 9, (9 ** dim, dim)) / 8.0
+        m = SampledMap(box=((0.0, 1.0),) * dim, resolution=0.125, images=images)
+        # The zero d.d.f. is dominated by every residual profile.
+        report = find_approx_fixed_point(PnSpace(dimension=dim), m, Ddf(()), H)
+        want = dominance_candidate_oracle(m)
+        assert report.candidate == want
+        assert report.displacement == vec_norm(vec_sub(sampled_eval_oracle(m, want), want))
+
+    def test_sampled_tie_goes_to_first_node(self):
+        m = SampledMap.from_function(lambda p: (0.5625, 0.5), ((0.0, 1.0), (0.0, 1.0)), 0.125)
+        report = find_approx_fixed_point(PnSpace(dimension=2), m, Ddf(()), H)
+        assert report.candidate == (0.5, 0.5) == dominance_candidate_oracle(m)
+        assert report.displacement == 0.0625
+
     def test_jump_map_candidate_within_gap(self, unit_space):
         psi = discontinuity_exact(unit_space, jump_map())
         fp = find_approx_fixed_point(unit_space, jump_map(), psi, H)
