@@ -14,7 +14,7 @@ from .discont import (DiscontinuityEstimate, LimitSet, Piece, PiecewiseMap1D,
                       constant_map, convex_hull, discontinuity_estimate,
                       discontinuity_exact, discontinuity_measure, limit_set)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
-from .fixpoint import (FixPointReport, KakutaniResult, find_approx_fixed_point,
+from .fixpoint import (FixPointReport, KakutaniResult, VerifyResult, find_approx_fixed_point,
                        kakutani_search, verify_approx_fixed_point)
 from .neighborhoods import (ContinuityReport, PairwiseReport, PointSet,
                             check_pairwise_image_separation,
@@ -41,7 +41,7 @@ __all__ = [
     "RouteComparison",
     "compare_discontinuity_routes",
     "FixPointReport", "KakutaniResult", "find_approx_fixed_point",
-    "kakutani_search", "verify_approx_fixed_point",
+    "kakutani_search", "verify_approx_fixed_point", "VerifyResult",
     "PnkitError", "InvalidArgumentError", "TheoremViolationError",
 ]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -26,11 +27,11 @@ import numpy as np
 
 from .ddf import Ddf, make_epsilon, sibley_distance
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
-                      DEFAULT_T_GRID, Piece, PiecewiseMap1D, SampledMap,
-                      _validate_descending, discontinuity_estimate,
+                      DEFAULT_T_GRID, MAX_GRID_NODES, Piece, PiecewiseMap1D, SampledMap,
+                      _validate_ascending, _validate_descending, discontinuity_estimate,
                       discontinuity_exact, discontinuity_measure)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
-from .fixpoint import find_approx_fixed_point, kakutani_search, verify_approx_fixed_point
+from .fixpoint import VerifyResult, verify_approx_fixed_point
 from .neighborhoods import PointSet, default_tprime_schedule, prob_diameter, strong_t_continuity_test
 from .pn_space import PnSpace, check_axioms, random_vector_pairs
 from .tnorms import TNormKind, tau_apply
@@ -161,11 +162,12 @@ def _parse_t_grid(obj) -> tuple[float, ...]:
         return DEFAULT_T_GRID
     if isinstance(obj, dict):
         n = int(obj.get("count", 1024))
+        if not 1 <= n <= MAX_GRID_NODES:
+            raise InvalidArgumentError(
+                f"schedules.t_grid.count: must be in [1, {MAX_GRID_NODES}], got {n}")
         tmax = float(obj.get("max", 1.0))
-        if n < 1 or tmax <= 0:
-            raise InvalidArgumentError("schedules.t_grid: count and max must be positive")
-        return tuple(k * tmax / n for k in range(1, n + 1))
-    return tuple(float(t) for t in obj)
+        obj = (k * tmax / n for k in range(1, n + 1))
+    return _validate_ascending("schedules.t_grid", obj)
 
 
 def _parse_map_spec(obj) -> PiecewiseMap1D | SampledMap:
@@ -212,6 +214,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"schedules: {exc}") from exc
 
+    for field in ("output", "output_csv"):
+        if not isinstance(raw.get(field), (str, type(None))):
+            raise InvalidArgumentError(f"{field}: must be a path string, got {raw[field]!r}")
+
     return ExperimentConfig(
         space=space, map=mp, scenarios=fam, seed=seed,
         delta_schedule=delta, grid_resolutions=grids, t_grid=t_grid,
@@ -248,9 +254,9 @@ def parse_ddf_spec(spec: str) -> Ddf:
 # ---------------------------------------------------------------------------
 # verify pipeline
 
-def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[list]]:
+def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[VerifyResult]]:
     """Run the full verification pipeline for the configured map or
-    scenario batch; returns (report, csv_rows)."""
+    scenario batch; returns (report, results), one result per scenario."""
     if cfg.map is None and cfg.scenarios is None:
         raise InvalidArgumentError("config needs either 'map' or 'scenarios'")
     if cfg.map is not None and cfg.scenarios is not None:
@@ -260,38 +266,22 @@ def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[list]]:
     else:
         maps = generate_scenarios(cfg.scenarios, cfg.seed)
 
-    scenario_reports = []
-    for idx, m in enumerate(maps):
-        rep = verify_approx_fixed_point(cfg.space, m, t_grid=cfg.t_grid,
-                                        delta_schedule=cfg.delta_schedule,
-                                        grid_resolutions=cfg.grid_resolutions)
-        rep["scenario_id"] = idx
-        scenario_reports.append(rep)
-
-    rows = []
-    for rep in scenario_reports:
-        psi = Ddf.from_json_obj(rep["psi"])
-        residual = Ddf.from_json_obj(rep["fixpoint"]["residual"])
-        dom = rep["fixpoint"]["dominance"]
-        ts = np.array(cfg.t_grid, dtype=float)
-        psi_t = psi.eval_many(ts)
-        res_t = residual.eval_many(ts)
-        for t, pv, rv in zip(cfg.t_grid, psi_t, res_t):
-            rows.append([rep["scenario_id"], float(t), float(pv), float(rv), dom])
-
-    anomalies = [rep["scenario_id"] for rep in scenario_reports
-                 if not (rep["fixpoint"]["dominance"] and rep["chain"]["holds"])]
+    results = [verify_approx_fixed_point(cfg.space, m, t_grid=cfg.t_grid,
+                                         delta_schedule=cfg.delta_schedule,
+                                         grid_resolutions=cfg.grid_resolutions)
+               for m in maps]
     report = {
         "config": cfg.raw,
-        "scenarios": scenario_reports,
+        "scenarios": [dict(r.to_json_obj(), scenario_id=idx) for idx, r in enumerate(results)],
         "summary": {
-            "count": len(scenario_reports),
-            "dominance_successes": sum(1 for r in scenario_reports if r["fixpoint"]["dominance"]),
-            "chain_successes": sum(1 for r in scenario_reports if r["chain"]["holds"]),
-            "anomalies": anomalies,
+            "count": len(results),
+            "dominance_successes": sum(1 for r in results if r.fixpoint.dominance),
+            "chain_successes": sum(1 for r in results if r.chain_holds),
+            "anomalies": [idx for idx, r in enumerate(results)
+                          if not (r.fixpoint.dominance and r.chain_holds)],
         },
     }
-    return report, rows
+    return report, results
 
 
 def write_report(report: dict, path: str) -> None:
@@ -299,12 +289,18 @@ def write_report(report: dict, path: str) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv(rows: list[list], path: str) -> None:
+def write_csv(results: Sequence[VerifyResult], path: str) -> None:
+    """The psi and residual curves of each result, one row per scenario and t."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id", "t", "psi_t", "residual_t", "dominance"])
-        writer.writerows(rows)
+        for idx, r in enumerate(results):
+            ts = np.array(r.t_grid)
+            writer.writerows(zip(itertools.repeat(idx), r.t_grid,
+                                 r.fixpoint.psi.eval_many(ts).tolist(),
+                                 r.fixpoint.residual_ddf.eval_many(ts).tolist(),
+                                 itertools.repeat(r.fixpoint.dominance)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +337,11 @@ def cmd_ddf(args) -> int:
 def cmd_check_axioms(args) -> int:
     cfg = load_config(args.config)
     raw = cfg.raw
-    count = _convert("pairs", int, raw.get("pairs", 200))
     seed = cfg.seed if cfg.seed is not None else 0
     lambdas = _convert("lambdas", lambda xs: tuple(float(x) for x in xs),
                        raw.get("lambdas", [k / 10.0 for k in range(11)]))
-    pairs = random_vector_pairs(cfg.space.dimension, count, seed)
+    pairs = _convert("pairs", lambda n: random_vector_pairs(cfg.space.dimension, int(n), seed),
+                     raw.get("pairs", 200))
     report = check_axioms(cfg.space, pairs, lambdas)
     _print_json(report.to_json_obj())
     return 0
@@ -374,8 +370,8 @@ def cmd_continuity(args) -> int:
         pts = _convert("sample.points", _points, sample_spec["points"])
     else:
         n = _convert("sample.count", int, sample_spec.get("count", 9))
-        if n < 1:
-            raise InvalidArgumentError(f"sample.count: must be at least 1, got {n}")
+        if not 1 <= n <= MAX_GRID_NODES:
+            raise InvalidArgumentError(f"sample.count: must be in [1, {MAX_GRID_NODES}], got {n}")
         lo, hi = cfg.map.box[0]
         pts = tuple((float(x),) for x in np.linspace(lo, hi, n))
     schedule = cfg.tprime_schedule or default_tprime_schedule(t)
@@ -412,27 +408,23 @@ def cmd_fixpoint(args) -> int:
     cfg = load_config(args.config)
     if cfg.map is None:
         raise InvalidArgumentError("fixpoint needs a 'map' config entry")
-    psi, _ = discontinuity_measure(cfg.space, cfg.map, delta_schedule=cfg.delta_schedule,
-                                   grid_resolutions=cfg.grid_resolutions, t_grid=cfg.t_grid)
-    h = min(cfg.grid_resolutions)
-    fp = find_approx_fixed_point(cfg.space, cfg.map, psi, h)
-    kk = kakutani_search(cfg.map, h)
-    out = fp.to_json_obj()
-    out["kakutani"] = kk.to_json_obj()
-    _print_json(out)
+    r = verify_approx_fixed_point(cfg.space, cfg.map, t_grid=cfg.t_grid,
+                                  delta_schedule=cfg.delta_schedule,
+                                  grid_resolutions=cfg.grid_resolutions)
+    _print_json(dict(r.fixpoint.to_json_obj(), kakutani=r.kakutani.to_json_obj()))
     return 0
 
 
 def cmd_verify_t34(args) -> int:
     cfg = load_config(args.config)
-    report, rows = run_verify(cfg)
+    report, results = run_verify(cfg)
     out_json = args.output or cfg.output
     out_csv = cfg.output_csv
     if out_json:
         if out_csv is None:
             out_csv = str(Path(out_json).with_suffix(".csv"))
         write_report(report, out_json)
-        write_csv(rows, out_csv)
+        write_csv(results, out_csv)
         print(f"report: {out_json}")
         print(f"curves: {out_csv}")
     else:

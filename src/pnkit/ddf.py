@@ -50,6 +50,17 @@ SAMPLED_IMAGE_SLACK = 1e-9
 # level's before nested-neighbourhood monotonicity counts as broken.
 MONOTONE_SLACK = 1e-15
 
+# How far a space's generator mass may differ from 1.
+GENERATOR_MASS_TOL = 1e-9
+
+# How far past its piece an affine piece's fixed point may fall and still
+# be a search candidate, clamped onto the piece.
+FIXED_POINT_SLACK = 1e-12
+
+# How far outside a planar hull edge, by its cross product, a point may lie
+# and still count as inside the hull.
+HULL_CROSS_SLACK = 1e-12
+
 
 def _cluster_representatives(sorted_vals: Sequence[float],
                              tol: float = KNOT_MERGE_TOL) -> list[float]:

@@ -42,12 +42,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ddf import (DOMAIN_SLACK, LIMIT_MERGE_TOL, MONOTONE_SLACK, SAMPLED_IMAGE_SLACK,
-                  VALUE_TOL, Ddf, sibley_distance)
+from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, LIMIT_MERGE_TOL, MONOTONE_SLACK,
+                  SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
 from .errors import InvalidArgumentError, PnkitError
 from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
 
@@ -263,7 +263,7 @@ class PiecewiseMap1D:
                     out.append(0.5 * (p.lo + p.hi))
                 continue
             x = p.intercept / (1.0 - p.slope)
-            if p.lo - 1e-12 <= x <= p.hi + 1e-12 and lo <= x <= hi:
+            if p.lo - FIXED_POINT_SLACK <= x <= p.hi + FIXED_POINT_SLACK and lo <= x <= hi:
                 out.append(min(max(x, p.lo), p.hi))
         return tuple(out)
 
@@ -362,11 +362,6 @@ def convex_hull(values):
     if len(first) == 2:
         return _hull_2d([(float(a), float(b)) for a, b in pts])
     raise InvalidArgumentError("hulls are supported in dimension 1 and 2 only")
-
-
-def hull_distance_1d(x: float, hull: tuple[float, float]) -> float:
-    lo, hi = hull
-    return max(0.0, lo - x, x - hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,14 +536,27 @@ class DiscontinuityEstimate:
         }
 
 
-def _validate_descending(name: str, values: Sequence[float]) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in values)
+def _validate_positive(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    vals = tuple(map(float, values))
     if not vals:
         raise InvalidArgumentError(f"{name} must be nonempty")
-    if any(v <= 0.0 or not math.isfinite(v) for v in vals):
+    if not all(0.0 < v < math.inf for v in vals):  # NaN fails too
         raise InvalidArgumentError(f"{name} entries must be positive and finite")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
+    return vals
+
+
+def _validate_descending(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    vals = _validate_positive(name, values)
+    if not all(a > b for a, b in zip(vals, vals[1:])):
         raise InvalidArgumentError(f"{name} must be strictly descending")
+    return vals
+
+
+def _validate_ascending(name: str, values: Iterable[float]) -> tuple[float, ...]:
+    """The t-grid rule: nonempty, positive, finite and strictly ascending."""
+    vals = _validate_positive(name, values)
+    if not all(a < b for a, b in zip(vals, vals[1:])):
+        raise InvalidArgumentError(f"{name} must be strictly ascending")
     return vals
 
 
@@ -590,13 +598,7 @@ def discontinuity_estimate(space: PnSpace, m, *,
     """
     deltas = _validate_descending("delta_schedule", delta_schedule)
     grids = _validate_descending("grid_resolutions", grid_resolutions)
-    ts = tuple(float(t) for t in t_grid)
-    if not ts:
-        raise InvalidArgumentError("t_grid must be nonempty")
-    if any(t <= 0.0 for t in ts):
-        raise InvalidArgumentError("t_grid entries must be positive")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise InvalidArgumentError("t_grid must be strictly ascending")
+    ts = _validate_ascending("t_grid", t_grid)
     if m.dim != space.dimension:
         raise InvalidArgumentError(
             f"map dimension {m.dim} does not match space dimension {space.dimension}")

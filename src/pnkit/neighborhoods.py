@@ -27,10 +27,13 @@ from typing import Sequence
 import numpy as np
 
 from .ddf import Ddf, left_limit_of_infimum
-from .discont import PiecewiseMap1D, lattice_nodes
+from .discont import PiecewiseMap1D, _validate_descending, lattice_nodes
 from .errors import InvalidArgumentError
-from .pn_space import (PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norm,
-                       vec_norms, vec_sub)
+from .pn_space import PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norms
+
+# Largest probe lattice of the continuity scan: each sample point holds a
+# (levels x budget x generator jumps) array, 11 MB per jump at 21 levels.
+MAX_PROBE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ def in_strong_neighborhood(space: PnSpace, p, t: float, q) -> bool:
     t = float(t)
     if not (t > 0.0):
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
-    diff = vec_sub(as_vector(p, space.dimension), as_vector(q, space.dimension))
-    return bool(profile_at(space, vec_norm(diff), t) > 1.0 - t)
+    diff = np.subtract(as_vector(p, space.dimension), as_vector(q, space.dimension))
+    return bool(profile_at(space, vec_norms(diff), t) > 1.0 - t)
 
 
 def prob_diameter(space: PnSpace, A: PointSet) -> Ddf:
@@ -148,16 +151,11 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
     t = float(t)
     if not (t > 0.0):
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
-    schedule = tuple(float(x) for x in (tprime_schedule if tprime_schedule is not None
-                                        else default_tprime_schedule(t)))
-    if not schedule:
-        raise InvalidArgumentError("threshold schedule must be nonempty")
-    if any(x <= 0.0 for x in schedule):
-        raise InvalidArgumentError("threshold schedule entries must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise InvalidArgumentError("threshold schedule must be strictly descending")
-    if probe_budget < 1:
-        raise InvalidArgumentError(f"probe_budget must be at least 1, got {probe_budget!r}")
+    schedule = _validate_descending("threshold schedule", tprime_schedule
+                                    if tprime_schedule is not None else default_tprime_schedule(t))
+    if not 1 <= probe_budget <= MAX_PROBE_BUDGET:
+        raise InvalidArgumentError(
+            f"probe_budget must be in [1, {MAX_PROBE_BUDGET}], got {probe_budget!r}")
     if domain_sample.dimension != m.dim or m.dim != space.dimension:
         raise InvalidArgumentError("sample, map, and space dimensions must agree")
 

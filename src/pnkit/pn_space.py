@@ -31,13 +31,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddf import Ddf, VALUE_TOL, ddf_leq_witness, make_epsilon
+from .ddf import GENERATOR_MASS_TOL, VALUE_TOL, Ddf, ddf_leq_witness, make_epsilon
 from .errors import InvalidArgumentError
 from .tnorms import TNormKind, TriangleFn, tau_apply
 
 Vector = tuple[float, ...]
 
 DEFAULT_LAMBDAS: tuple[float, ...] = tuple(k / 10.0 for k in range(11))
+
+# Largest number of sample pairs `random_vector_pairs` draws; a larger
+# count is refused before anything is allocated.
+MAX_SAMPLE_PAIRS = 10_000
 
 
 def as_vector(coords, dim: int | None = None) -> Vector:
@@ -70,26 +74,6 @@ def vec_norms(points) -> np.ndarray:
     return np.array([vec_norm(v) for v in rows], dtype=float).reshape(a.shape[:-1])
 
 
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c: float, v: Vector) -> Vector:
-    return tuple(c * x for x in v)
-
-
-def vec_neg(v: Vector) -> Vector:
-    return tuple(-x for x in v)
-
-
-def is_null(v: Vector) -> bool:
-    return all(c == 0.0 for c in v)
-
-
 @dataclass(frozen=True)
 class PnSpace:
     """A simple probabilistic-normed space over R^dimension.
@@ -112,7 +96,7 @@ class PnSpace:
         object.__setattr__(self, "dimension", int(self.dimension))
         if not self.generator.jumps:
             raise InvalidArgumentError("generator must have at least one finite jump")
-        if abs(self.generator.total_mass - 1.0) > 1e-9:
+        if abs(self.generator.total_mass - 1.0) > GENERATOR_MASS_TOL:
             raise InvalidArgumentError(
                 f"generator must carry total finite mass 1, got {self.generator.total_mass!r}")
 
@@ -157,8 +141,7 @@ def norm_profile(space: PnSpace, r: float) -> Ddf:
 
 def prob_norm(space: PnSpace, p) -> Ddf:
     """Norm profile of a point: the profile of its Euclidean norm."""
-    v = as_vector(p, space.dimension)
-    return norm_profile(space, 0.0 if is_null(v) else vec_norm(v))
+    return norm_profile(space, vec_norm(as_vector(p, space.dimension)))
 
 
 @dataclass(frozen=True)
@@ -203,43 +186,35 @@ def check_axioms(space: PnSpace,
     worst violating sample (with the probe x where the gap is largest)
     is recorded per axiom.
     """
-    if not samples:
+    if len(samples) == 0:
         raise InvalidArgumentError("samples must be nonempty")
     for lam in lambdas:
         if not (0.0 <= lam <= 1.0):
             raise InvalidArgumentError(f"lambda {lam!r} outside [0, 1]")
 
-    pairs = [(as_vector(p, space.dimension), as_vector(q, space.dimension))
-             for p, q in samples]
-    vectors: list[Vector] = []
-    seen = set()
-    for p, q in pairs:
-        for v in (p, q):
-            if v not in seen:
-                seen.add(v)
-                vectors.append(v)
+    dim = space.dimension
+    pairs = np.array([(as_vector(p, dim), as_vector(q, dim)) for p, q in samples])
+    # Each distinct sample vector once, in order of first appearance.
+    vectors = np.array(list(dict.fromkeys(map(tuple, pairs.reshape(-1, dim).tolist()))))
 
     eps0 = make_epsilon(0.0)
-    theta = tuple(0.0 for _ in range(space.dimension))
+    theta = np.zeros(dim)
 
     # N1: null vector maps to the maximal element, nothing else does.
     n1_worst = None
-    n1_checked = 1
     if prob_norm(space, theta).jumps != eps0.jumps:
-        n1_worst = {"p": list(theta), "note": "null vector profile differs from unit step at 0"}
-    for v in vectors:
-        if is_null(v):
-            continue
-        n1_checked += 1
+        n1_worst = {"p": theta.tolist(), "note": "null vector profile differs from unit step at 0"}
+    nonnull = vectors[np.any(vectors != 0.0, axis=1)]
+    for v in nonnull:
         if n1_worst is None and prob_norm(space, v).jumps == eps0.jumps:
-            n1_worst = {"p": list(v), "note": "nonzero vector has maximal profile"}
-    n1 = AxiomResult("N1", n1_worst is None, n1_checked, n1_worst)
+            n1_worst = {"p": v.tolist(), "note": "nonzero vector has maximal profile"}
+    n1 = AxiomResult("N1", n1_worst is None, 1 + len(nonnull), n1_worst)
 
     # N2: negation symmetry, exact jump-list equality.
     n2_worst = None
     for v in vectors:
-        if prob_norm(space, v).jumps != prob_norm(space, vec_neg(v)).jumps:
-            n2_worst = {"p": list(v), "note": "profile changed under negation"}
+        if prob_norm(space, v).jumps != prob_norm(space, -v).jumps:
+            n2_worst = {"p": v.tolist(), "note": "profile changed under negation"}
             break
     n2 = AxiomResult("N2", n2_worst is None, len(vectors), n2_worst)
 
@@ -248,10 +223,10 @@ def check_axioms(space: PnSpace,
     n3_gap = -math.inf
     for p, q in pairs:
         lhs = tau_apply(space.tau.kind, prob_norm(space, p), prob_norm(space, q))
-        gap, x = ddf_leq_witness(lhs, prob_norm(space, vec_add(p, q)))
+        gap, x = ddf_leq_witness(lhs, prob_norm(space, p + q))
         if gap > n3_gap:
             n3_gap = gap
-            n3_worst = {"p": list(p), "q": list(q), "x": x, "gap": gap}
+            n3_worst = {"p": p.tolist(), "q": q.tolist(), "x": x, "gap": gap}
     n3 = AxiomResult("N3", n3_gap <= VALUE_TOL, len(pairs),
                      None if n3_gap <= VALUE_TOL else n3_worst)
 
@@ -263,25 +238,22 @@ def check_axioms(space: PnSpace,
         nu_v = prob_norm(space, v)
         for lam in lambdas:
             rhs = tau_apply(space.tau_star.kind,
-                            prob_norm(space, vec_scale(lam, v)),
-                            prob_norm(space, vec_scale(1.0 - lam, v)))
+                            prob_norm(space, lam * v),
+                            prob_norm(space, (1.0 - lam) * v))
             gap, x = ddf_leq_witness(nu_v, rhs)
             n4_checked += 1
             if gap > n4_gap:
                 n4_gap = gap
-                n4_worst = {"p": list(v), "lambda": lam, "x": x, "gap": gap}
+                n4_worst = {"p": v.tolist(), "lambda": lam, "x": x, "gap": gap}
     n4 = AxiomResult("N4", n4_gap <= VALUE_TOL, n4_checked,
                      None if n4_gap <= VALUE_TOL else n4_worst)
 
     return AxiomReport((n1, n2, n3, n4))
 
 
-def random_vector_pairs(dim: int, count: int, seed: int,
-                        scale: float = 1.0) -> list[tuple[Vector, Vector]]:
-    """Seeded standard-normal vector pairs for sample-based checks."""
-    if count < 1:
-        raise InvalidArgumentError("count must be positive")
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((count, 2, dim)) * scale
-    return [(tuple(float(c) for c in pq[0]), tuple(float(c) for c in pq[1]))
-            for pq in draws]
+def random_vector_pairs(dim: int, count: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """Seeded standard-normal vector pairs for sample-based checks, as a
+    (count, 2, dim) array."""
+    if not 1 <= count <= MAX_SAMPLE_PAIRS:
+        raise InvalidArgumentError(f"count must be in [1, {MAX_SAMPLE_PAIRS}], got {count!r}")
+    return np.random.default_rng(seed).standard_normal((count, 2, dim)) * scale

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ddf import Ddf, _cluster_representatives
+from .ddf import VALUE_TOL, Ddf, _cluster_representatives
 from .errors import InvalidArgumentError
 
 # Largest number of input jump pairs tau_apply takes on; the pair sums
@@ -137,7 +137,7 @@ class TNormAxiomReport:
     monotonicity: float
     identity: float
     samples: int
-    tolerance: float = 1e-12
+    tolerance: float = VALUE_TOL
 
     @property
     def passed(self) -> bool:

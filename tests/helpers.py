@@ -21,7 +21,7 @@ from pnkit.ddf import _cluster_representatives, comparison_probes
 from pnkit.discont import map_eval_vec
 from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_lattice,
                                  default_tprime_schedule)
-from pnkit.pn_space import profile_at, vec_norm, vec_norms, vec_sub
+from pnkit.pn_space import profile_at, vec_norm, vec_norms
 from pnkit.tnorms import TNormKind, tnorm_apply, tnorm_apply_np
 
 
@@ -181,7 +181,7 @@ def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> lis
         witness = None
         for tprime in default_tprime_schedule(t):
             members = [q for q in lattice
-                       if prob_norm(space, vec_sub(p, q)).eval(tprime) > 1.0 - tprime]
+                       if prob_norm(space, np.subtract(p, q)).eval(tprime) > 1.0 - tprime]
             images = [map_eval_vec(m, q) for q in members + [p]]
             farthest = max(images, key=vec_norm)
             if not prob_norm(space, farthest).eval(t) > 1.0 - t:
@@ -263,4 +263,4 @@ def dominance_candidate_oracle(m) -> tuple:
     the lexicographically smallest node, by one scalar evaluation per
     node."""
     return min(_lattice_points_oracle(m),
-               key=lambda p: (vec_norm(vec_sub(sampled_eval_oracle(m, p), p)), p))
+               key=lambda p: (vec_norm(np.subtract(sampled_eval_oracle(m, p), p)), p))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,18 @@ class TestExitCodes:
         ("continuity", {"probe_budget": -1}, "probe_budget"),
         ("continuity", {"probe_budget": 0}, "probe_budget"),
         ("continuity", {"sample": {"count": -3}}, "sample.count"),
+        ("verify-t34", {"output": 5}, "output"),
+        ("verify-t34", {"output_csv": ["a"]}, "output_csv"),
+        ("verify-t34", {"schedules": {"t_grid": {"count": 64, "max": math.inf}}}, "schedules.t_grid"),
+        ("verify-t34", {"schedules": {"t_grid": []}}, "schedules.t_grid"),
+        ("verify-t34", {"schedules": {"t_grid": [0.5, 0.25]}}, "schedules.t_grid"),
+        ("fixpoint", {"schedules": {"t_grid": {"count": 64, "max": math.inf}}}, "schedules.t_grid"),
+        ("fixpoint", {"schedules": {"t_grid": [0.5, 0.25]}}, "schedules.t_grid"),
+        ("psi", {"schedules": {"t_grid": {"count": 64, "max": math.nan}}}, "schedules.t_grid"),
+        ("psi", {"schedules": {"t_grid": {"count": 10 ** 13}}}, "schedules.t_grid"),
+        ("check-axioms", {"pairs": 10 ** 13}, "pairs"),
+        ("continuity", {"probe_budget": 10 ** 13}, "probe_budget"),
+        ("continuity", {"sample": {"count": 10 ** 13}}, "sample.count"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):

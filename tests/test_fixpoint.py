@@ -11,7 +11,7 @@ from pnkit import (InvalidArgumentError, Piece, PiecewiseMap1D,
                    kakutani_search, make_epsilon, sibley_distance,
                    verify_approx_fixed_point)
 from pnkit.ddf import Ddf
-from pnkit.pn_space import PnSpace, vec_norm, vec_sub
+from pnkit.pn_space import PnSpace, vec_norm
 
 from helpers import dominance_candidate_oracle, sampled_eval_oracle
 
@@ -44,7 +44,7 @@ class TestDominanceSearch:
         report = find_approx_fixed_point(PnSpace(dimension=dim), m, Ddf(()), H)
         want = dominance_candidate_oracle(m)
         assert report.candidate == want
-        assert report.displacement == vec_norm(vec_sub(sampled_eval_oracle(m, want), want))
+        assert report.displacement == vec_norm(np.subtract(sampled_eval_oracle(m, want), want))
 
     def test_sampled_tie_goes_to_first_node(self):
         m = SampledMap.from_function(lambda p: (0.5625, 0.5), ((0.0, 1.0), (0.0, 1.0)), 0.125)
@@ -146,7 +146,7 @@ class TestHullContainmentSearch:
 class TestEndToEnd:
     def test_jump_map_chain_holds_everywhere(self, unit_space):
         t_grid = tuple(k / 256 for k in range(1, 257))
-        rep = verify_approx_fixed_point(unit_space, jump_map(), t_grid=t_grid)
+        rep = verify_approx_fixed_point(unit_space, jump_map(), t_grid=t_grid).to_json_obj()
         assert rep["psi_route"] == "exact"
         assert rep["fixpoint"]["dominance"] is True
         assert rep["chain"]["holds"] is True
@@ -154,7 +154,7 @@ class TestEndToEnd:
         assert rep["kakutani"]["point"] == [0.5]
 
     def test_continuous_map_everything_maximal(self, unit_space):
-        rep = verify_approx_fixed_point(unit_space, flip_map())
+        rep = verify_approx_fixed_point(unit_space, flip_map()).to_json_obj()
         assert rep["psi"] == [[0.0, 1.0]]
         assert rep["fixpoint"]["residual"] == [[0.0, 1.0]]
         assert rep["chain"]["holds"] is True
@@ -163,13 +163,30 @@ class TestEndToEnd:
         m = SampledMap.from_function(
             lambda p: (0.6,) if p[0] < 0.5 else (0.2,), ((0.0, 1.0),), 1.0 / 512)
         rep = verify_approx_fixed_point(unit_space, m,
-                                        t_grid=tuple(k / 128 for k in range(1, 129)))
+                                        t_grid=tuple(k / 128 for k in range(1, 129))).to_json_obj()
         assert rep["psi_route"] == "estimate"
         assert rep["fixpoint"]["dominance"] is True
 
     def test_report_is_json_ready(self, unit_space):
         import json
         rep = verify_approx_fixed_point(unit_space, jump_map(),
-                                        t_grid=tuple(k / 64 for k in range(1, 65)))
+                                        t_grid=tuple(k / 64 for k in range(1, 65))).to_json_obj()
         text = json.dumps(rep, sort_keys=True)
         assert json.loads(text) == rep
+
+    @pytest.mark.parametrize("t_grid", [(), (0.5, 0.25), (0.0, 0.5), (0.5, float("inf"))])
+    def test_exact_route_keeps_the_t_grid_rule(self, unit_space, t_grid):
+        with pytest.raises(InvalidArgumentError, match="t_grid"):
+            verify_approx_fixed_point(unit_space, jump_map(), t_grid=t_grid)
+
+    def test_exact_route_checks_the_grid_schedule(self, unit_space):
+        with pytest.raises(InvalidArgumentError, match="grid_resolutions"):
+            verify_approx_fixed_point(unit_space, jump_map(), grid_resolutions=())
+
+    def test_result_carries_the_typed_searches(self, unit_space):
+        t_grid = tuple(k / 64 for k in range(1, 65))
+        r = verify_approx_fixed_point(unit_space, jump_map(), t_grid=t_grid)
+        assert r.estimate is None and r.t_grid == t_grid
+        assert r.fixpoint.psi.jumps == discontinuity_exact(unit_space, jump_map()).jumps
+        assert r.kakutani == kakutani_search(jump_map(), H)
+        assert r.to_json_obj()["chain"]["holds"] is r.chain_holds is True
