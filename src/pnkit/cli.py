@@ -32,7 +32,8 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
                       discontinuity_exact, discontinuity_measure)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import VerifyResult, verify_approx_fixed_point
-from .neighborhoods import PointSet, default_tprime_schedule, prob_diameter, strong_t_continuity_test
+from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
+                            strong_t_continuity_test)
 from .pn_space import PnSpace, check_axioms, random_vector_pairs
 from .tnorms import TNormKind, tau_apply
 
@@ -376,6 +377,7 @@ def cmd_continuity(args) -> int:
         pts = tuple((float(x),) for x in np.linspace(lo, hi, n))
     schedule = cfg.tprime_schedule or default_tprime_schedule(t)
     probe_budget = _convert("probe_budget", int, raw.get("probe_budget", 512))
+    _probe_shape(cfg.space, cfg.map, len(schedule), probe_budget, "schedules.tprime")
     report = strong_t_continuity_test(cfg.space, cfg.map, PointSet(pts), t,
                                       tprime_schedule=schedule, probe_budget=probe_budget)
     _print_json(report.to_json_obj())

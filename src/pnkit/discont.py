@@ -12,9 +12,9 @@ answer the same questions, so no caller asks which kind it holds: `dim`
 and `box`, `eval_points` (one row per point), `grids` (the grid steps a
 search or the estimator may use), `candidates` (the search points of a
 grid), `lattice_images` (the images of a uniform lattice and its step)
-and `limit_values` (one-sided limits, or the images of the adjacent
-lattice nodes).  Only the exact routes, which need the pieces, look at
-the kind.
+and `limit_values` (k per point: the one-sided limits, or the images
+of the adjacent lattice nodes).  Only the exact routes, which need the
+pieces, look at the kind.
 
 A grid estimator of the same quantity, driven only by point evaluations
 of the map, recovers it from below through a schedule of shrinking
@@ -46,8 +46,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, LIMIT_MERGE_TOL, MONOTONE_SLACK,
-                  SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
+from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_CROSS_SLACK, LIMIT_MERGE_TOL,
+                  MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
 from .errors import InvalidArgumentError, PnkitError
 from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
 
@@ -175,23 +175,25 @@ class PiecewiseMap1D:
         return self._slopes_np[idx] * xs + self._icepts_np[idx]
 
     def eval(self, x: float) -> float:
+        # Scalar checks: the array path of eval_points costs twice as much a call.
         x = float(x)
-        self._check_in_domain(x)
+        lo, hi = self.domain
+        if not lo <= x <= hi:  # NaN fails too
+            raise InvalidArgumentError(f"point {x!r} outside the domain [{lo}, {hi}]")
         return float(self.eval_many(np.array([x]))[0])
 
-    def _check_in_domain(self, x: float) -> None:
+    def _domain_xs(self, P) -> np.ndarray:
+        xs = np.asarray(P, dtype=float)[:, 0]
         lo, hi = self.domain
-        if math.isnan(x) or x < lo or x > hi:
-            raise InvalidArgumentError(f"point {x!r} outside the domain [{lo}, {hi}]")
+        outside = ~((xs >= lo) & (xs <= hi))  # NaN lies outside too
+        if np.any(outside):
+            raise InvalidArgumentError(
+                f"point {float(xs[np.argmax(outside)])!r} outside the domain [{lo}, {hi}]")
+        return xs
 
     def eval_points(self, P) -> np.ndarray:
         """f at each row of an (n, 1) array of domain points, as (n, 1)."""
-        xs = np.asarray(P, dtype=float)[:, 0]
-        lo, hi = self.domain
-        outside = ~((xs >= lo) & (xs <= hi))
-        if np.any(outside):
-            self._check_in_domain(float(xs[np.argmax(outside)]))
-        return self.eval_many(xs)[:, None]
+        return self.eval_many(self._domain_xs(P))[:, None]
 
     def grids(self, steps: Sequence[float]) -> tuple[float, ...]:
         """Every step asked for: the map has a grid of any step."""
@@ -209,34 +211,20 @@ class PiecewiseMap1D:
         lo, hi = self.domain
         return self.eval_many(xs)[:, None], (hi - lo) / (len(xs) - 1)
 
-    def limit_values(self, p) -> tuple[Vector, ...]:
-        """The one-sided limits at p as 1-vectors, those within
-        LIMIT_MERGE_TOL of each other counted once."""
-        x = float(p[0])
-        self._check_in_domain(x)
+    def limit_values(self, P) -> np.ndarray:
+        """The (left, right) limits at each row of an (n, 1) array of domain
+        points, as (n, 2, 1).  A limit missing at a domain end, or within
+        LIMIT_MERGE_TOL of the left one, is a copy of the other one."""
+        xs = self._domain_xs(P)
         lo, hi = self.domain
-        vals: list[float] = []
-        if x > lo:
-            vals.append(self.left_limit(x))
-        if x < hi:
-            r = self.right_limit(x)
-            if all(abs(r - v) > LIMIT_MERGE_TOL for v in vals):
-                vals.append(r)
-        return tuple((v,) for v in vals)
-
-    def left_limit(self, x: float) -> float:
-        """Limit from below, read off the piece covering (.., x]."""
-        for p in self.pieces:
-            if p.lo < x <= p.hi:
-                return p.value(x)
-        raise InvalidArgumentError(f"no piece approaches {x!r} from the left")
-
-    def right_limit(self, x: float) -> float:
-        """Limit from above, read off the piece covering [x, ..)."""
-        for p in self.pieces:
-            if p.lo <= x < p.hi:
-                return p.value(x)
-        raise InvalidArgumentError(f"no piece approaches {x!r} from the right")
+        # Piece k covers (.., breaks[k]] from the left, [breaks[k-1], ..) from the right.
+        kl = np.searchsorted(self._breaks_np, xs, "left")
+        kr = np.searchsorted(self._breaks_np, xs, "right")
+        left = self._slopes_np[kl] * xs + self._icepts_np[kl]
+        right = self._slopes_np[kr] * xs + self._icepts_np[kr]
+        left = np.where(xs > lo, left, right)
+        right = np.where((xs < hi) & (np.abs(right - left) > LIMIT_MERGE_TOL), right, left)
+        return np.stack([left, right], axis=1)[:, :, None]
 
     def sup_abs_on_interval(self, a: float, b: float) -> float:
         """sup of |f| over the clipped interval [a, b]; exact because the
@@ -318,50 +306,75 @@ class LimitSet:
 
 def limit_set(pw: PiecewiseMap1D, p: float) -> LimitSet:
     """Exact one-sided limits of the map at p, with the value attained there."""
-    return LimitSet(values=tuple(v for (v,) in pw.limit_values((p,))), attained=pw.eval(p))
-
-
-def _hull_2d(points: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return tuple(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
+    return LimitSet(values=tuple(dict.fromkeys(pw.limit_values([[p]])[0, :, 0].tolist())),
+                    attained=pw.eval(p))
 
 
 def convex_hull(values):
     """Convex hull of a finite value set.
 
-    Accepts a LimitSet or an iterable; returns the closed interval
-    (min, max) for scalars and the counter-clockwise vertex tuple for
-    planar points.
+    Accepts a LimitSet or an iterable of scalars, 1-vectors or 2-vectors;
+    returns the closed interval (min, max) in 1-d and the counter-clockwise
+    vertex tuple, by Andrew's monotone chain, in 2-d.
     """
-    pts = list(values.values) if isinstance(values, LimitSet) else list(values)
-    if not pts:
+    pts = np.asarray(values.values if isinstance(values, LimitSet) else list(values), dtype=float)
+    if pts.size == 0:
         raise InvalidArgumentError("cannot take the hull of an empty set")
-    first = pts[0]
-    if isinstance(first, (int, float)):
-        xs = [float(v) for v in pts]
+    pts = pts.reshape(len(pts), -1)
+    if pts.shape[1] == 1:
+        xs = pts[:, 0].tolist()
         return (min(xs), max(xs))
-    if len(first) == 1:
-        xs = [float(v[0]) for v in pts]
-        return (min(xs), max(xs))
-    if len(first) == 2:
-        return _hull_2d([(float(a), float(b)) for a, b in pts])
-    raise InvalidArgumentError("hulls are supported in dimension 1 and 2 only")
+    if pts.shape[1] != 2:
+        raise InvalidArgumentError("hulls are supported in dimension 1 and 2 only")
+    ordered = sorted(set(map(tuple, pts.tolist())))
+    if len(ordered) <= 2:
+        return tuple(ordered)
+    vertices: list = []
+    for seq in (ordered, ordered[::-1]):  # the lower chain, then the upper
+        chain: list = []
+        for q in seq:
+            while len(chain) >= 2 and _cross(np.subtract(chain[-1], chain[-2]),
+                                             np.subtract(q, chain[-2])) <= 0:
+                chain.pop()
+            chain.append(q)
+        vertices += chain[:-1]
+    return tuple(vertices)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def hull_distances(P, Q) -> np.ndarray:
+    """Distance from each row p of an (n, dim) array P to the convex hull
+    of the matching row of an (n, k, dim) array Q: max(0, lo - x, x - hi)
+    in 1-d.  In 2-d, 0 when p lies on a segment between two of the points
+    or in a triangle of the first point and two others (these cover the
+    hull, star-shaped about that point), up to HULL_CROSS_SLACK on each
+    cross product; else the least distance to such a segment, exact as
+    the hull edges are among them.  Pairs and triangles go one at a time."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if P.shape[-1] == 1:
+        x, lo, hi = P[:, 0], np.min(Q[..., 0], axis=1), np.max(Q[..., 0], axis=1)
+        return np.maximum(np.maximum(0.0, lo - x), x - hi)
+    nearest, inside = vec_norms(P - Q[:, 0]), np.zeros(len(P), dtype=bool)
+    for i, j in itertools.combinations(range(Q.shape[1]), 2):
+        a, ab = Q[:, i], Q[:, j] - Q[:, i]
+        ap = P - a
+        len2, dot = np.sum(ab * ab, axis=1), np.sum(ap * ab, axis=1)
+        s = np.clip(dot / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
+        nearest = np.minimum(nearest, vec_norms(ap - s[:, None] * ab))
+        inside |= ((len2 > 0.0) & (np.abs(_cross(ab, ap)) <= HULL_CROSS_SLACK)
+                   & (dot >= 0.0) & (dot <= len2))
+    a = Q[:, 0]
+    for i, j in itertools.combinations(range(1, Q.shape[1]), 2):
+        b, c = Q[:, i], Q[:, j]
+        area = _cross(b - a, c - a)
+        sides = np.stack([_cross(b - a, P - a), _cross(c - b, P - b), _cross(a - c, P - c)])
+        # A triangle of doubled area within the slack counts by its sides alone.
+        inside |= ((np.abs(area) > HULL_CROSS_SLACK)
+                   & np.all(np.sign(area) * sides >= -HULL_CROSS_SLACK, axis=0))
+    return np.where(inside, 0.0, nearest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,15 +431,15 @@ class SampledMap:
     def _snap(self, P) -> np.ndarray:
         """Index of the lattice node nearest each row of P, clipped into
         the lattice; halves round to even."""
+        P = np.asarray(P, dtype=float)
+        if not np.all(np.isfinite(P)):
+            raise InvalidArgumentError("point coordinates must be finite")
         lo = np.array([a for a, _ in self.box])
-        idx = np.rint((np.asarray(P, dtype=float) - lo) / self.resolution)
+        idx = np.rint((P - lo) / self.resolution)
         return np.clip(idx, 0, np.array(self.shape) - 1).astype(np.intp)
 
     def eval_points(self, P) -> np.ndarray:
         """The image of the node nearest each row of an (n, dim) array."""
-        P = np.asarray(P, dtype=float)
-        if not np.all(np.isfinite(P)):
-            raise InvalidArgumentError("point coordinates must be finite")
         return self.images[tuple(self._snap(P).T)]
 
     def grids(self, steps: Sequence[float]) -> tuple[float, ...]:
@@ -440,19 +453,24 @@ class SampledMap:
     def lattice_images(self, h: float) -> tuple[np.ndarray, float]:
         return self.images, self.resolution
 
-    def limit_values(self, p) -> tuple[Vector, ...]:
-        return self.neighbor_images(p)
+    def limit_values(self, P) -> np.ndarray:
+        """Images of the 3^dim - 1 lattice nodes around the node nearest
+        each row of an (n, dim) array, as (n, 3^dim - 1, dim).  A node past
+        the lattice edge is mirrored onto another one, whose image it repeats."""
+        if min(self.shape) < 2:
+            raise InvalidArgumentError(
+                f"limit values need two lattice nodes along every axis, got shape {self.shape}")
+        offsets = [d for d in itertools.product((-1, 0, 1), repeat=self.dim) if any(d)]
+        top = np.array(self.shape) - 1
+        idx = top - np.abs(top - np.abs(self._snap(P)[:, None, :] + offsets))
+        return self.images[tuple(np.moveaxis(idx, -1, 0))]
 
     def neighbor_images(self, p) -> tuple[Vector, ...]:
-        """Images of the lattice nodes adjacent to p (p's own node
-        excluded): the grid surrogate for limit values at p."""
-        base = self._snap(as_vector(p, self.dim))
-        out = []
-        for d in itertools.product((-1, 0, 1), repeat=self.dim):
-            idx = tuple(int(b) + x for b, x in zip(base, d))
-            if any(d) and all(0 <= i < n for i, n in zip(idx, self.shape)):
-                out.append(tuple(self.images[idx].tolist()))
-        return tuple(out)
+        """Images of the lattice nodes adjacent to p's, in lexicographic order."""
+        base = self._snap([as_vector(p, self.dim)])[0]
+        window = self.images[tuple(slice(max(b - 1, 0), b + 2) for b in base)]
+        own = np.ravel_multi_index(tuple(np.minimum(base, 1)), window.shape[:-1])
+        return tuple(map(tuple, np.delete(window.reshape(-1, self.dim), own, axis=0).tolist()))
 
     @classmethod
     def from_function(cls, fn: Callable, box, resolution: float) -> "SampledMap":
@@ -491,12 +509,9 @@ def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
     """
     if space.dimension != 1 or not isinstance(pw, PiecewiseMap1D):
         raise InvalidArgumentError("exact route needs a piecewise map in a 1-d space")
-    worst = 0.0
-    for b in pw.breakpoints:
-        fb = pw.eval(b)
-        for q in limit_set(pw, b).values:
-            worst = max(worst, abs(fb - q))
-    return norm_profile(space, worst)
+    bs = pw._breaks_np[:, None]
+    gaps = np.abs(pw.eval_points(bs)[:, None, :] - pw.limit_values(bs))
+    return norm_profile(space, float(np.max(gaps, initial=0.0)))
 
 
 @dataclass(frozen=True)

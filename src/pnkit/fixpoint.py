@@ -9,7 +9,8 @@ heuristics):
     discontinuity measure -- a point displaced by no more than the
     map's own jumping;
   * a candidate contained in (or within one grid cell of) the convex
-    hull of its own one-sided limit values.
+    hull of its own one-sided limit values, measured exactly for a whole
+    grid at a time by `discont.hull_distances`.
 
 Existence of both is guaranteed for self-maps of a compact interval, so
 a search that still fails after MAX_REFINEMENTS halvings of its grid
@@ -34,12 +35,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .ddf import HULL_CROSS_SLACK, VALUE_TOL, Ddf, ddf_leq_witness
+from .ddf import VALUE_TOL, Ddf, ddf_leq_witness
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_T_GRID,
                       DiscontinuityEstimate, _validate_ascending, _validate_descending,
-                      convex_hull, discontinuity_measure)
+                      convex_hull, discontinuity_measure, hull_distances)
 from .errors import InvalidArgumentError, TheoremViolationError
-from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norm, vec_norms
+from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norms
 
 # How many times a search halves its grid step after a miss before the
 # miss counts as a defect.
@@ -127,42 +128,10 @@ def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointRe
         report=report)
 
 
-def _hull_distance(p: Vector, hull) -> float:
-    if len(p) == 1:
-        lo, hi = hull
-        return max(0.0, lo - p[0], p[0] - hi)
-    # Planar hulls stay desk-scale; the distance to the vertex set is a
-    # usable upper bound and exact for containment checks on segments.
-    if _point_in_hull_2d(p, hull):
-        return 0.0
-    return min(vec_norm((p[0] - x, p[1] - y)) for x, y in hull)
-
-
-def _point_in_hull_2d(p: Vector, hull) -> bool:
-    # Scalar arithmetic: one numpy call per candidate costs about three
-    # times this whole test on the planar hulls of at most 8 vertices.
-    if len(hull) == 1:
-        (x0, y0), = hull
-        return vec_norm((p[0] - x0, p[1] - y0)) == 0.0
-    if len(hull) == 2:
-        (x0, y0), (x1, y1) = hull
-        cross = (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0)
-        if abs(cross) > HULL_CROSS_SLACK:
-            return False
-        dot = (p[0] - x0) * (x1 - x0) + (p[1] - y0) * (y1 - y0)
-        return 0.0 <= dot <= (x1 - x0) ** 2 + (y1 - y0) ** 2
-    n = len(hull)
-    for i in range(n):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % n]
-        if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) < -HULL_CROSS_SLACK:
-            return False
-    return True
-
-
 def kakutani_search(m, h: float, tol: float | None = None) -> KakutaniResult:
     """Find a candidate within `tol` of the convex hull of its own limit
-    values, preferring exact containment.
+    values: on each grid, the first candidate of least hull distance,
+    which replaces the best of a coarser grid only when strictly closer.
 
     tol defaults to one cell of the first grid searched: h, or the
     lattice step of a sampled map, whose lattice is its only candidate
@@ -175,14 +144,14 @@ def kakutani_search(m, h: float, tol: float | None = None) -> KakutaniResult:
 
     best: KakutaniResult | None = None
     for cur_h in steps:
-        for p in map(tuple, m.candidates(cur_h).tolist()):
-            hull = convex_hull(m.limit_values(p))
-            d = _hull_distance(p, hull)
-            if best is None or d < best.distance:
-                best = KakutaniResult(point=p, hull=hull, distance=d)
-                if d == 0.0:
-                    break
-        if best is not None and best.distance <= tol:
+        cands = m.candidates(cur_h)
+        limits = m.limit_values(cands)
+        dist = hull_distances(cands, limits)
+        i = int(np.argmin(dist))
+        if best is None or dist[i] < best.distance:
+            best = KakutaniResult(point=tuple(cands[i].tolist()), hull=convex_hull(limits[i]),
+                                  distance=float(dist[i]))
+        if best.distance <= tol:
             return best
     raise TheoremViolationError(
         f"no candidate within {tol!r} of its own limit hull "
@@ -237,14 +206,14 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
                               ) -> VerifyResult:
     """End-to-end verification on one map: discontinuity measure (exact
     route when available), dominance search, hull-containment search,
-    and the inequality chain
+    and the inequality chain at the hull-containment point p*
 
-        residual(t) >= min over limit values q of profile(f(p*) - q)(t)
-                    >= measure(t)
+        residual(t) >= profile(far + d)(t),   profile(far)(t) >= measure(t)
 
-    at the hull-containment point for every t in the grid.  Both
-    searches use the finest of `grid_resolutions`; anomalies in them
-    propagate as exceptions.
+    for every t in the grid, where far is the largest |f(p*) - q| over
+    the limit values q (profile(far) is the least of their profiles) and
+    d is the hull distance of p*.  Both searches use the finest of
+    `grid_resolutions`; anomalies in them propagate as exceptions.
     """
     t_grid = _validate_ascending("t_grid", t_grid)
     grid_resolutions = _validate_descending("grid_resolutions", grid_resolutions)
@@ -254,15 +223,16 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
     fp = find_approx_fixed_point(space, m, psi, h)
     kk = kakutani_search(m, h)
 
-    # The minimum over the limit profiles is the profile of the farthest
-    # limit value.
+    # The least limit profile is the farthest limit value's.  Only the upper
+    # link takes the hull distance d as slack: |f(p) - p| <= max_q |f(p) - q|
+    # + dist(p, co Q), by the triangle inequality and convexity of the norm.
     ts = np.array(t_grid)
-    p = np.array(kk.point)
-    fk = m.eval_points(p[None])[0]
-    far = float(np.max(vec_norms(fk - np.array(m.limit_values(kk.point)))))
-    mid = profile_at(space, far, ts)
-    upper = profile_at(space, vec_norms(fk - p), ts) - mid
-    lower = mid - psi.eval_many(ts)
+    p = np.array(kk.point)[None]
+    fk = m.eval_points(p)
+    far = float(np.max(vec_norms(fk - m.limit_values(p)[0])))
+    upper = (profile_at(space, vec_norms(fk[0] - p[0]), ts)
+             - profile_at(space, far + kk.distance, ts))
+    lower = profile_at(space, far, ts) - psi.eval_many(ts)
     return VerifyResult(space=space, map=m, estimate=estimate, fixpoint=fp, kakutani=kk,
                         t_grid=t_grid,
                         worst_t=float(ts[np.argmin(np.minimum(upper, lower))]),

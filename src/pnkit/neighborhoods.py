@@ -31,9 +31,11 @@ from .discont import PiecewiseMap1D, _validate_descending, lattice_nodes
 from .errors import InvalidArgumentError
 from .pn_space import PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norms
 
-# Largest probe lattice of the continuity scan: each sample point holds a
-# (levels x budget x generator jumps) array, 11 MB per jump at 21 levels.
+# Largest probe lattice of the continuity scan, and largest work array:
+# each sample point holds a (threshold levels x probe lattice points x
+# generator jumps) array of floats, 128 MB at MAX_SCAN_CELLS.
 MAX_PROBE_BUDGET = 1 << 16
+MAX_SCAN_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,21 @@ def default_tprime_schedule(t: float, levels: int = 21) -> tuple[float, ...]:
     return tuple(t * 2.0 ** -k for k in range(levels))
 
 
-def _probe_lattice(m, budget: int) -> np.ndarray:
-    side = budget if m.dim == 1 else max(2, int(math.isqrt(budget)))
-    return lattice_nodes(m.box, (side,) * m.dim)
+def _probe_shape(space: PnSpace, m, levels: int, budget: int, name: str) -> tuple[int, ...]:
+    """The probe lattice shape of a continuity scan, refused before anything
+    is allocated when `budget` is out of range or the work array would pass
+    MAX_SCAN_CELLS for a `levels`-level threshold schedule called `name`."""
+    if not 1 <= budget <= MAX_PROBE_BUDGET:
+        raise InvalidArgumentError(
+            f"probe_budget must be in [1, {MAX_PROBE_BUDGET}], got {budget!r}")
+    shape = (budget if m.dim == 1 else max(2, int(math.isqrt(budget))),) * m.dim
+    points = math.prod(shape)
+    cells = levels * points * len(space.generator.jumps)
+    if cells > MAX_SCAN_CELLS:
+        raise InvalidArgumentError(
+            f"{name}: {levels} levels x {points} probe points x {len(space.generator.jumps)} "
+            f"generator jumps is {cells} cells, more than MAX_SCAN_CELLS={MAX_SCAN_CELLS}")
+    return shape
 
 
 def _exact_ball_confirmation(space: PnSpace, pw: PiecewiseMap1D, p: float,
@@ -153,13 +167,11 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
     schedule = _validate_descending("threshold schedule", tprime_schedule
                                     if tprime_schedule is not None else default_tprime_schedule(t))
-    if not 1 <= probe_budget <= MAX_PROBE_BUDGET:
-        raise InvalidArgumentError(
-            f"probe_budget must be in [1, {MAX_PROBE_BUDGET}], got {probe_budget!r}")
     if domain_sample.dimension != m.dim or m.dim != space.dimension:
         raise InvalidArgumentError("sample, map, and space dimensions must agree")
 
-    lattice = _probe_lattice(m, probe_budget)
+    lattice = lattice_nodes(m.box, _probe_shape(space, m, len(schedule), probe_budget,
+                                                "threshold schedule"))
     image_norms = vec_norms(m.eval_points(lattice))
     sample_norms = vec_norms(m.eval_points(domain_sample.points))
     tprimes = np.array(schedule)[:, None]

@@ -13,13 +13,16 @@ internals (dense grids, direct scans) and are deliberately slow.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from pnkit import Ddf, PiecewiseMap1D, prob_norm
-from pnkit.ddf import _cluster_representatives, comparison_probes
-from pnkit.discont import map_eval_vec
-from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_lattice,
+from pnkit import Ddf, PiecewiseMap1D, TheoremViolationError, prob_norm
+from pnkit.ddf import LIMIT_MERGE_TOL, _cluster_representatives, comparison_probes
+from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
+from pnkit.fixpoint import MAX_REFINEMENTS, KakutaniResult
+from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_shape,
                                  default_tprime_schedule)
 from pnkit.pn_space import profile_at, vec_norm, vec_norms
 from pnkit.tnorms import TNormKind, tnorm_apply, tnorm_apply_np
@@ -174,12 +177,14 @@ def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> lis
     largest image among the members and p exceeds 1 - t at t.  The probe
     lattice and the exact ball bound for single-step generators on
     piecewise maps are the library's own."""
-    lattice = [tuple(float(c) for c in q) for q in _probe_lattice(m, probe_budget)]
+    schedule = default_tprime_schedule(t)
+    shape = _probe_shape(space, m, len(schedule), probe_budget, "threshold schedule")
+    lattice = [tuple(float(c) for c in q) for q in lattice_nodes(m.box, shape)]
     exact_route = isinstance(m, PiecewiseMap1D) and len(space.generator.jumps) == 1
     out = []
     for p in points:
         witness = None
-        for tprime in default_tprime_schedule(t):
+        for tprime in schedule:
             members = [q for q in lattice
                        if prob_norm(space, np.subtract(p, q)).eval(tprime) > 1.0 - tprime]
             images = [map_eval_vec(m, q) for q in members + [p]]
@@ -264,3 +269,74 @@ def dominance_candidate_oracle(m) -> tuple:
     node."""
     return min(_lattice_points_oracle(m),
                key=lambda p: (vec_norm(np.subtract(sampled_eval_oracle(m, p), p)), p))
+
+
+def limit_values_scan(pw: PiecewiseMap1D, x: float) -> tuple[float, ...]:
+    """One-sided limits of a piecewise map at x, each read off the first
+    piece covering (.., x] or [x, ..) in a scan of the pieces; the right
+    limit is dropped within LIMIT_MERGE_TOL of the left one."""
+    lo, hi = pw.domain
+    vals = []
+    if x > lo:
+        vals.append(next(p.value(x) for p in pw.pieces if p.lo < x <= p.hi))
+    if x < hi:
+        r = next(p.value(x) for p in pw.pieces if p.lo <= x < p.hi)
+        if all(abs(r - v) > LIMIT_MERGE_TOL for v in vals):
+            vals.append(r)
+    return tuple(vals)
+
+
+def kakutani_loop_search(pw: PiecewiseMap1D, h: float, tol: float | None = None) -> KakutaniResult:
+    """Reference hull search on a piecewise map: one candidate at a time,
+    in order, keeping a candidate only when strictly closer to the hull
+    of its scanned limit values than the best so far, and stopping a
+    grid at the first exact containment."""
+    steps = pw.grids(tuple(h * 0.5 ** k for k in range(MAX_REFINEMENTS + 1)))
+    tol = steps[0] if tol is None else tol
+    best = None
+    for cur_h in steps:
+        for (x,) in pw.candidates(cur_h).tolist():
+            lo, hi = convex_hull(limit_values_scan(pw, x))
+            d = max(0.0, lo - x, x - hi)
+            if best is None or d < best.distance:
+                best = KakutaniResult(point=(x,), hull=(lo, hi), distance=d)
+                if d == 0.0:
+                    break
+        if best.distance <= tol:
+            return best
+    raise TheoremViolationError("no candidate within tolerance", report=best)
+
+
+def _cross_exact(o, a, b) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def planar_hull_oracle(p, pts, samples: int = 4097) -> tuple[bool, float, float]:
+    """(contained, distance, error bound) for point p and the convex hull
+    of the planar points pts, by routes independent of the library.
+
+    Containment is decided in exact rational arithmetic: p equals a
+    point, lies on a segment between two, or lies in a triangle of three
+    (the triangles cover the hull).  The distance is the least distance
+    from p to `samples` evenly spaced points on every segment between two
+    points, an upper bound on the exact one that exceeds it by at most
+    the returned error bound, half the longest sample spacing."""
+    P = tuple(map(Fraction, p))
+    Q = [tuple(map(Fraction, q)) for q in pts]
+    contained = P in Q
+    for a, b in combinations(Q, 2):
+        dot = (P[0] - a[0]) * (b[0] - a[0]) + (P[1] - a[1]) * (b[1] - a[1])
+        len2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+        contained |= _cross_exact(a, b, P) == 0 and 0 <= dot <= len2 and len2 > 0
+    for a, b, c in combinations(Q, 3):
+        area = _cross_exact(a, b, c)
+        sides = (_cross_exact(a, b, P), _cross_exact(b, c, P), _cross_exact(c, a, P))
+        contained |= area != 0 and all(s * area >= 0 for s in sides)
+    ts = np.linspace(0.0, 1.0, samples)[:, None]
+    pts = np.asarray(pts, dtype=float)
+    dist, err = float(np.hypot(*(pts - np.asarray(p)).T).min()), 0.0
+    for a, b in combinations(pts, 2):
+        line = a + ts * (b - a)
+        dist = min(dist, float(np.hypot(*(line - np.asarray(p)).T).min()))
+        err = max(err, float(np.hypot(*(b - a))) / (2 * (samples - 1)))
+    return contained, dist, err

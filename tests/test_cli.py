@@ -280,6 +280,13 @@ class TestExitCodes:
         ("check-axioms", {"pairs": 10 ** 13}, "pairs"),
         ("continuity", {"probe_budget": 10 ** 13}, "probe_budget"),
         ("continuity", {"sample": {"count": 10 ** 13}}, "sample.count"),
+        # Scan work arrays refused before anything is allocated: a long
+        # threshold schedule, or a generator with many jumps.
+        ("continuity", {"schedules": {"tprime": [0.5 * 0.999 ** k for k in range(3000)]},
+                        "probe_budget": 65536}, "schedules.tprime"),
+        ("continuity", {"space": {"dimension": 1,
+                                  "generator": [[1.0 + k / 512, 1 / 512] for k in range(512)]},
+                        "probe_budget": 65536}, "schedules.tprime"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
@@ -287,6 +294,24 @@ class TestExitCodes:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("box, images, message", [
+        # The identity on a line of nodes: both searches reach the lattice.
+        ([[0.0, 0.1], [0.0, 1.0]], [[0.0, 0.25 * k] for k in range(5)],
+         "limit values need two lattice nodes along every axis, got shape (1, 5)"),
+        ([[0.0, 0.1]], [[0.05]], "nothing estimated"),
+    ])
+    def test_lattice_with_one_node_along_an_axis_is_validation_error(self, tmp_path, capsys,
+                                                                    box, images, message):
+        sampled = {"box": box, "resolution": 0.25, "images": images}
+        path = write_config(tmp_path, {
+            "space": {"dimension": len(box), "generator": [[0.001, 1.0]]},
+            "map": {"sampled": sampled}, "schedules": {"grids": [0.25]}})
+        out = str(tmp_path / "r.json")
+        assert main(["verify-t34", "--config", str(path), "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [["verify-t34"], ["psi", "--route", "estimate"]])

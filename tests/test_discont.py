@@ -14,9 +14,10 @@ from pnkit import (Ddf, InvalidArgumentError, Piece, PiecewiseMap1D, PnSpace,
                    left_limit_of_infimum, limit_set, make_epsilon, prob_norm,
                    sibley_distance)
 from pnkit.cli import ScenarioFamily, generate_scenarios
-from pnkit.discont import MAX_GRID_NODES, map_eval_vec
+from pnkit.discont import MAX_GRID_NODES, hull_distances, map_eval_vec
 
-from helpers import dyadic_ddf, estimator_levels_oracle, sampled_eval_oracle
+from helpers import (dyadic_ddf, estimator_levels_oracle, planar_hull_oracle,
+                     sampled_eval_oracle)
 
 
 def jump_map() -> PiecewiseMap1D:
@@ -102,10 +103,15 @@ class TestEvaluation:
         assert all(vm[i] == m.eval(float(x)) for i, x in enumerate(xs))
 
     def test_one_sided_limits(self):
-        m = jump_map()
-        assert m.left_limit(0.5) == 0.6
-        assert m.right_limit(0.5) == 0.2
-        assert m.left_limit(0.25) == 0.6
+        # Rows are (left, right) limits; a merged or missing limit holds a
+        # copy of the other one.
+        got = jump_map().limit_values([[0.5], [0.25], [0.0], [1.0]])
+        assert got.shape == (4, 2, 1)
+        assert got[:, :, 0].tolist() == [[0.6, 0.2], [0.6, 0.6], [0.6, 0.6], [0.2, 0.2]]
+
+    def test_limit_values_reject_points_outside_the_domain(self):
+        with pytest.raises(InvalidArgumentError, match="outside the domain"):
+            jump_map().limit_values([[0.5], [-0.25]])
 
     def test_sup_abs_is_exact_on_pieces(self):
         m = PiecewiseMap1D(domain=(0.0, 1.0),
@@ -161,16 +167,85 @@ class TestConvexHull:
 
     def test_planar_hull_contains_all_inputs(self):
         rng = np.random.default_rng(3)
-        from pnkit.fixpoint import _point_in_hull_2d
         for _ in range(20):
-            pts = [tuple(x) for x in rng.uniform(-1.0, 1.0, (10, 2))]
-            hull = convex_hull(pts)
-            for p in pts:
-                assert _point_in_hull_2d(p, hull)
+            pts = rng.uniform(-1.0, 1.0, (10, 2))
+            hull = np.array(convex_hull([tuple(x) for x in pts]))
+            dist = hull_distances(pts, np.broadcast_to(hull, (len(pts),) + hull.shape))
+            assert np.all(dist == 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             convex_hull([])
+
+
+# Planar points on a grid of step 1/16: every cross product is exact, so
+# a point of the grid is either in a hull or at least 1/256 / 3 away.
+grid_coord = st.integers(-16, 16).map(lambda k: k / 16)
+grid_point = st.tuples(grid_coord, grid_coord)
+free_point = st.tuples(*(st.floats(-1.5, 1.5, allow_nan=False),) * 2)
+
+
+def hull_distance(p, pts) -> float:
+    return float(hull_distances([p], [pts])[0])
+
+
+class TestHullDistances:
+    def check_against_oracle(self, p, pts):
+        contained, dist, err = planar_hull_oracle(p, pts)
+        got = hull_distance(p, pts)
+        if contained:
+            assert got == 0.0
+        elif got == 0.0:
+            # Counted as inside by the cross-product slack only.
+            assert dist <= 1e-9 + err
+        else:
+            assert dist - err - 1e-15 <= got <= dist + 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.one_of(grid_point, free_point), pts=st.lists(grid_point, min_size=1, max_size=8))
+    def test_matches_oracle(self, p, pts):
+        self.check_against_oracle(p, pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.one_of(grid_point, free_point), a=grid_point, b=grid_point,
+           ts=st.lists(st.integers(-4, 4), min_size=1, max_size=6), copies=st.integers(1, 3))
+    def test_collinear_points_and_duplicates(self, p, a, b, ts, copies):
+        # Points a + t (b - a) for small integers t are exactly collinear.
+        pts = [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])) for t in ts] * copies
+        self.check_against_oracle(p, pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tri=st.lists(grid_point, min_size=3, max_size=3, unique=True),
+           t=st.integers(0, 16).map(lambda k: k / 16), offset=st.floats(-1e-12, 1e-12))
+    def test_points_within_a_slack_of_an_edge(self, tri, t, offset):
+        (ax, ay), (bx, by), (cx, cy) = tri
+        area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+        if area == 0.0:
+            return
+        # The unit normal of edge ab pointing into the triangle.
+        length = math.hypot(bx - ax, by - ay)
+        nx, ny = (-(by - ay) / length, (bx - ax) / length)
+        if area < 0.0:
+            nx, ny = -nx, -ny
+        p = (ax + t * (bx - ax) + offset * nx, ay + t * (by - ay) + offset * ny)
+        got = hull_distance(p, tri)
+        contained, _, _ = planar_hull_oracle(p, tri)
+        if contained:
+            assert got == 0.0
+        # Rounding p's coordinates moves it by far less than 1e-15.
+        assert got <= abs(offset) + 1e-15
+
+    def test_exact_where_the_nearest_vertex_is_not(self):
+        # The segment from (0, 0) to (1, 0) is 0.25 from (0.5, 0.25); its
+        # vertices are farther.
+        assert hull_distance((0.5, 0.25), [(0.0, 0.0), (1.0, 0.0)]) == 0.25
+        assert hull_distance((0.5, -0.25), [(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)]) == 0.25
+        assert hull_distance((3.0, 4.0), [(0.0, 0.0)]) == 5.0
+        assert hull_distance((0.5, 0.0), [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)]) == 0.0
+
+    def test_one_dimensional_interval(self):
+        got = hull_distances([[0.1], [0.5], [0.9]], [[[0.2], [0.6]]] * 3)
+        assert got.tolist() == [max(0.0, 0.2 - 0.1), 0.0, 0.9 - 0.6]
 
 
 class TestSampledMap:
@@ -183,6 +258,23 @@ class TestSampledMap:
         m = SampledMap.from_function(lambda p: (p[0],), ((0.0, 1.0),), 0.25)
         imgs = m.neighbor_images((0.5,))
         assert set(imgs) == {(0.25,), (0.75,)}
+
+    def test_limit_values_at_lattice_corners_and_ends(self):
+        # Image of node (i, j) is (i, j) / 8, so a slot names its node.
+        m = SampledMap.from_function(lambda p: (p[0] / 2, p[1] / 2),
+                                     ((0.0, 1.0), (0.0, 1.0)), 0.25)
+        corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 0.5)]
+        limits = m.limit_values(corners)
+        assert limits.shape == (6, 8, 2)
+        for p, row in zip(corners, limits):
+            assert set(map(tuple, row.tolist())) == set(m.neighbor_images(p))
+        # A slot past the edge mirrors onto the node across it.
+        assert limits[0].tolist() == [[0.125, 0.125], [0.125, 0.0], [0.125, 0.125],
+                                      [0.0, 0.125], [0.0, 0.125],
+                                      [0.125, 0.125], [0.125, 0.0], [0.125, 0.125]]
+        line = SampledMap.from_function(lambda p: (p[0] / 2,), ((0.0, 1.0),), 0.25)
+        assert line.limit_values([(0.0,), (1.0,)])[:, :, 0].tolist() == [[0.125, 0.125],
+                                                                       [0.375, 0.375]]
 
     def test_requires_full_lattice(self):
         with pytest.raises(InvalidArgumentError):
@@ -428,7 +520,7 @@ class TestMapInterface:
             ls = limit_set(m, 0.5)
             assert ls.values == (0.3, 0.3 + gap)[:count]
             assert ls.attained == 0.3 + gap
-            assert m.limit_values((0.5,)) == tuple((v,) for v in ls.values)
+            assert m.limit_values([[0.5]])[0, :, 0].tolist() == [0.3, ls.values[-1]]
 
     def test_lattice_count_does_not_overflow(self):
         with pytest.raises(InvalidArgumentError, match=str((10 ** 12 + 1) ** 2)):

@@ -1,5 +1,8 @@
 """Tests for the dominance and hull-containment searches."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,11 @@ from pnkit import (InvalidArgumentError, Piece, PiecewiseMap1D,
                    discontinuity_exact, find_approx_fixed_point,
                    kakutani_search, make_epsilon, sibley_distance,
                    verify_approx_fixed_point)
+from pnkit.cli import ScenarioFamily, generate_scenarios, load_config
 from pnkit.ddf import Ddf
 from pnkit.pn_space import PnSpace, vec_norm
 
-from helpers import dominance_candidate_oracle, sampled_eval_oracle
+from helpers import dominance_candidate_oracle, kakutani_loop_search, sampled_eval_oracle
 
 H = 1.0 / 1024
 
@@ -141,6 +145,76 @@ class TestHullContainmentSearch:
     def test_tolerance_validation(self):
         with pytest.raises(InvalidArgumentError):
             kakutani_search(jump_map(), H, tol=-0.1)
+
+    def test_matches_loop_search_on_batch_config(self):
+        cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "batch.json"))
+        h = min(cfg.grid_resolutions)
+        for m in generate_scenarios(cfg.scenarios, cfg.seed):
+            assert kakutani_search(m, h).to_json_obj() == kakutani_loop_search(m, h).to_json_obj()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["constant", "affine"]),
+           pieces=st.integers(1, 5), values=st.sampled_from([(0.0, 1.0), (0.25, 0.75), (0.5, 0.5)]),
+           h=st.sampled_from([1.0 / 1024, 1.0 / 64, 0.1]))
+    def test_matches_loop_search_on_drawn_maps(self, seed, kind, pieces, values, h):
+        # Narrow value ranges make constant pieces repeat a value, so
+        # limits merge and many candidates tie at distance 0.
+        family = ScenarioFamily(count=1, pieces=(pieces, pieces), values=values, kind=kind)
+        m, = generate_scenarios(family, seed)
+        try:
+            want = kakutani_loop_search(m, h, tol=0.0)
+        except TheoremViolationError as exc:
+            with pytest.raises(TheoremViolationError) as got:
+                kakutani_search(m, h, tol=0.0)
+            assert got.value.report == exc.report
+        else:
+            assert kakutani_search(m, h, tol=0.0).to_json_obj() == want.to_json_obj()
+        assert kakutani_search(m, h).to_json_obj() == kakutani_loop_search(m, h).to_json_obj()
+
+    def test_lattice_with_one_node_along_an_axis_is_refused(self):
+        m = SampledMap(box=((0.0, 0.1), (0.0, 1.0)), resolution=0.25, images=[(0.05, 0.5)] * 5)
+        assert m.shape == (1, 5)
+        with pytest.raises(InvalidArgumentError, match=r"two lattice nodes along every axis"):
+            kakutani_search(m, 0.25)
+
+
+def two_region_map(seed: int, side: int, kind: str) -> SampledMap:
+    """The unit square split along a seeded random line, each side mapped
+    to a constant point or contracted towards its own centre, sampled on
+    a side x side lattice."""
+    rng = np.random.default_rng(seed)
+    anchor = rng.uniform(0.0, 1.0, 2)
+    angle = float(rng.uniform(0.0, 2.0 * math.pi))
+    normal = (math.cos(angle), math.sin(angle))
+    centres = rng.uniform(0.0, 1.0, (2, 2)).tolist()
+    scales = rng.uniform(0.1, 0.8, 2).tolist()
+
+    def fn(p):
+        k = 0 if (p[0] - anchor[0]) * normal[0] + (p[1] - anchor[1]) * normal[1] >= 0.0 else 1
+        (cx, cy), s = centres[k], scales[k]
+        if kind == "constant":
+            return (cx, cy)
+        return ((1.0 - s) * cx + s * p[0], (1.0 - s) * cy + s * p[1])
+    return SampledMap.from_function(fn, ((0.0, 1.0), (0.0, 1.0)), 1.0 / (side - 1))
+
+
+class TestPlanarHullDistance:
+    """Two-region maps on which a hull distance measured to the nearest
+    hull vertex exhausted the search, or left the chain's upper link
+    without the hull distance as slack, one mass quantum short."""
+
+    @pytest.mark.parametrize("side, kind, seed", [
+        (21, "constant", 0), (41, "constant", 0),   # hull search exhausted
+        (21, "constant", 1), (41, "affine", 5),     # upper link short
+    ])
+    def test_two_region_map_verifies(self, side, kind, seed):
+        h = 1.0 / (side - 1)
+        m = two_region_map(seed, side, kind)
+        r = verify_approx_fixed_point(PnSpace(dimension=2), m, grid_resolutions=(h,),
+                                      t_grid=tuple(k / 256 for k in range(1, 257)))
+        assert r.fixpoint.dominance
+        assert 0.0 < r.kakutani.distance <= h
+        assert r.to_json_obj()["chain"]["holds"] is True
 
 
 class TestEndToEnd:
