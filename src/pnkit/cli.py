@@ -29,7 +29,7 @@ from .ddf import Ddf, make_epsilon, sibley_distance
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
                       DEFAULT_T_GRID, MAX_GRID_NODES, Piece, PiecewiseMap1D, SampledMap,
                       _validate_ascending, _validate_descending, discontinuity_estimate,
-                      discontinuity_exact, discontinuity_measure)
+                      discontinuity_exact, discontinuity_measure, lattice_nodes)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import VerifyResult, verify_approx_fixed_point
 from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
@@ -38,6 +38,10 @@ from .pn_space import PnSpace, check_axioms, random_vector_pairs
 from .tnorms import TNormKind, tau_apply
 
 MIN_BREAK_SEPARATION = 0.01
+
+# Largest scenario batch a config may ask for: every scenario's report
+# entry and curves are held until the report is written.
+MAX_SCENARIOS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +60,17 @@ class ScenarioFamily:
     domain: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidArgumentError(f"count must be positive, got {self.count!r}")
+        if not 1 <= self.count <= MAX_SCENARIOS:
+            raise InvalidArgumentError(
+                f"count must be in [1, {MAX_SCENARIOS}], got {self.count!r}")
         plo, phi = self.pieces
         if not (1 <= plo <= phi):
             raise InvalidArgumentError(f"pieces range must satisfy 1 <= lo <= hi, got {self.pieces!r}")
         if self.kind not in ("constant", "affine"):
             raise InvalidArgumentError(f"kind must be 'constant' or 'affine', got {self.kind!r}")
+        vlo, vhi = self.values
+        if not (vlo <= vhi and math.isfinite(vhi - vlo)):
+            raise InvalidArgumentError(f"values must be a finite range lo <= hi, got {self.values!r}")
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise InvalidArgumentError(f"domain must be a nondegenerate interval, got {self.domain!r}")
@@ -199,6 +207,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seed = raw.get("seed")
     if seed is not None:
         seed = _convert("seed", int, seed)
+        if seed < 0:
+            raise InvalidArgumentError(f"seed: must be nonnegative, got {seed}")
     if fam is not None and seed is None:
         raise InvalidArgumentError("seed: required whenever a scenario generator is used")
 
@@ -371,10 +381,12 @@ def cmd_continuity(args) -> int:
         pts = _convert("sample.points", _points, sample_spec["points"])
     else:
         n = _convert("sample.count", int, sample_spec.get("count", 9))
-        if not 1 <= n <= MAX_GRID_NODES:
-            raise InvalidArgumentError(f"sample.count: must be in [1, {MAX_GRID_NODES}], got {n}")
-        lo, hi = cfg.map.box[0]
-        pts = tuple((float(x),) for x in np.linspace(lo, hi, n))
+        dim = cfg.map.dim
+        if not (n >= 1 and n ** dim <= MAX_GRID_NODES):
+            raise InvalidArgumentError(
+                f"sample.count: must be positive with count ** {dim} at most "
+                f"{MAX_GRID_NODES} lattice nodes, got {n}")
+        pts = tuple(map(tuple, lattice_nodes(cfg.map.box, [n] * dim).tolist()))
     schedule = cfg.tprime_schedule or default_tprime_schedule(t)
     probe_budget = _convert("probe_budget", int, raw.get("probe_budget", 512))
     _probe_shape(cfg.space, cfg.map, len(schedule), probe_budget, "schedules.tprime")

@@ -61,6 +61,11 @@ FIXED_POINT_SLACK = 1e-12
 # and still count as inside the hull.
 HULL_CROSS_SLACK = 1e-12
 
+# How much farther than the nearest limit value, per unit of coordinate
+# size, a point's distance to the bounding box of its limit values must be
+# before the hull search skips measuring its hull distance.
+HULL_PRUNE_SLACK = 1e-9
+
 
 def _cluster_representatives(sorted_vals: Sequence[float],
                              tol: float = KNOT_MERGE_TOL) -> list[float]:

@@ -41,19 +41,25 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_CROSS_SLACK, LIMIT_MERGE_TOL,
-                  MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
+from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_CROSS_SLACK, HULL_PRUNE_SLACK,
+                  LIMIT_MERGE_TOL, MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf,
+                  sibley_distance)
 from .errors import InvalidArgumentError, PnkitError
 from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
 
 # Largest node count of a grid of step h; a finer grid is refused before
 # anything is allocated.
 MAX_GRID_NODES = 1 << 20
+
+# Rows the planar hull distance measures at once.  Each holds a value per
+# segment and per fan triangle of its points (28 and 21 for 8 points) in
+# every work array, so its memory stays bounded however many rows it takes.
+HULL_BLOCK_ROWS = 256
 
 DEFAULT_DELTA_SCHEDULE: tuple[float, ...] = tuple(0.2 * 2.0 ** -k for k in range(7))
 DEFAULT_GRID_RESOLUTIONS: tuple[float, ...] = (1.0 / 1024.0,)
@@ -345,6 +351,64 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _norms(dx, dy):
+    """Euclidean lengths of planar vectors given by coordinate arrays,
+    with `vec_norms`' arithmetic."""
+    return np.sqrt(dx * dx + dy * dy)
+
+
+@lru_cache
+def _hull_indices(k: int):
+    """Slot indices (i, j), i < j, of the segments between k points, and
+    (i, j), 0 < i < j, of the fan triangles (0, i, j); read-only, as
+    every caller shares them."""
+    pairs = np.triu_indices(k, 1)
+    fan = tuple(ix + 1 for ix in np.triu_indices(k - 1, 1))
+    for ix in pairs + fan:
+        ix.flags.writeable = False
+    return pairs, fan
+
+
+def _in_row_blocks(fn, *arrays) -> np.ndarray:
+    """fn on consecutive blocks of HULL_BLOCK_ROWS rows (the last axis of
+    every array), one result per row."""
+    n = arrays[0].shape[-1]
+    out = np.empty(n)
+    for lo in range(0, n, HULL_BLOCK_ROWS):
+        out[lo:lo + HULL_BLOCK_ROWS] = fn(*(a[..., lo:lo + HULL_BLOCK_ROWS] for a in arrays))
+    return out
+
+
+def _planar_hull_block(px, py, x, y) -> np.ndarray:
+    """`hull_distances` of n planar points (px, py) to the hulls of k
+    points each, given by (k, n) coordinate arrays x, y."""
+    (i, j), (b, c) = _hull_indices(len(x))
+    ax, ay = x[i], y[i]
+    abx, aby, apx, apy = x[j] - ax, y[j] - ay, px - ax, py - ay
+    len2, dot = abx * abx + aby * aby, apx * abx + apy * aby
+    s = np.clip(dot / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
+    nearest = np.minimum(_norms(px - x[0], py - y[0]),
+                         np.min(_norms(apx - s * abx, apy - s * aby), axis=0, initial=np.inf))
+    inside = np.any((len2 > 0.0) & (np.abs(abx * apy - aby * apx) <= HULL_CROSS_SLACK)
+                    & (dot >= 0.0) & (dot <= len2), axis=0)
+    x0, y0, bx, by, cx, cy = x[0], y[0], x[b], y[b], x[c], y[c]
+    area = (bx - x0) * (cy - y0) - (by - y0) * (cx - x0)
+    sign = np.sign(area)
+    # A triangle of doubled area within the slack counts by its sides alone.
+    holds = np.abs(area) > HULL_CROSS_SLACK
+    for ux, uy, vx, vy in ((bx - x0, by - y0, px - x0, py - y0),
+                           (cx - bx, cy - by, px - bx, py - by),
+                           (x0 - cx, y0 - cy, px - cx, py - cy)):
+        holds &= sign * (ux * vy - uy * vx) >= -HULL_CROSS_SLACK
+    return np.where(inside | np.any(holds, axis=0), 0.0, nearest)
+
+
+def _slot_planes(Q: np.ndarray) -> np.ndarray:
+    """The coordinates of an (n, k, 2) array as (2, k, n): one row per
+    slot, so that work over the slots runs across all points at once."""
+    return np.ascontiguousarray(np.transpose(Q, (2, 1, 0)))
+
+
 def hull_distances(P, Q) -> np.ndarray:
     """Distance from each row p of an (n, dim) array P to the convex hull
     of the matching row of an (n, k, dim) array Q: max(0, lo - x, x - hi)
@@ -352,29 +416,61 @@ def hull_distances(P, Q) -> np.ndarray:
     or in a triangle of the first point and two others (these cover the
     hull, star-shaped about that point), up to HULL_CROSS_SLACK on each
     cross product; else the least distance to such a segment, exact as
-    the hull edges are among them.  Pairs and triangles go one at a time."""
+    the hull edges are among them.  Every segment and fan triangle of a
+    row is measured at once, HULL_BLOCK_ROWS rows at a time."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape[-1] == 1:
         x, lo, hi = P[:, 0], np.min(Q[..., 0], axis=1), np.max(Q[..., 0], axis=1)
         return np.maximum(np.maximum(0.0, lo - x), x - hi)
-    nearest, inside = vec_norms(P - Q[:, 0]), np.zeros(len(P), dtype=bool)
-    for i, j in itertools.combinations(range(Q.shape[1]), 2):
-        a, ab = Q[:, i], Q[:, j] - Q[:, i]
-        ap = P - a
-        len2, dot = np.sum(ab * ab, axis=1), np.sum(ap * ab, axis=1)
-        s = np.clip(dot / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
-        nearest = np.minimum(nearest, vec_norms(ap - s[:, None] * ab))
-        inside |= ((len2 > 0.0) & (np.abs(_cross(ab, ap)) <= HULL_CROSS_SLACK)
-                   & (dot >= 0.0) & (dot <= len2))
-    a = Q[:, 0]
-    for i, j in itertools.combinations(range(1, Q.shape[1]), 2):
-        b, c = Q[:, i], Q[:, j]
-        area = _cross(b - a, c - a)
-        sides = np.stack([_cross(b - a, P - a), _cross(c - b, P - b), _cross(a - c, P - c)])
-        # A triangle of doubled area within the slack counts by its sides alone.
-        inside |= ((np.abs(area) > HULL_CROSS_SLACK)
-                   & np.all(np.sign(area) * sides >= -HULL_CROSS_SLACK, axis=0))
-    return np.where(inside, 0.0, nearest)
+    return _in_row_blocks(_planar_hull_block, P[:, 0], P[:, 1], *_slot_planes(Q))
+
+
+def _cross_slack_reach(x, y, width) -> np.ndarray:
+    """How far, per unit of cross-product slack sigma, a point may lie
+    from the hull of each column of (k, n) coordinate arrays and still
+    pass one of `hull_distances`' inside tests: sigma / e past a segment
+    of length e, and sigma * 2 width / A past a triangle of doubled area
+    A, where a barycentric weight may fall to -sigma / A."""
+    (i, j), (b, c) = _hull_indices(len(x))
+    dx, dy = x[j] - x[i], y[j] - y[i]
+    len2 = dx * dx + dy * dy
+    shortest = np.sqrt(np.min(np.where(len2 > 0.0, len2, np.inf), axis=0, initial=np.inf))
+    vx, vy = x - x[0], y - y[0]
+    area = np.abs(vx[b] * vy[c] - vy[b] * vx[c])
+    least = np.min(np.where(area > HULL_CROSS_SLACK, area, np.inf), axis=0, initial=np.inf)
+    return np.maximum(1.0 / shortest, 2.0 * width / least)
+
+
+def nearest_to_hull(P, Q) -> tuple[int, float]:
+    """The first row of least `hull_distances(P, Q)`, and that distance.
+
+    In 2-d only the rows that can be it are measured.  The distance L
+    from p to the bounding box of its row is a lower bound on its hull
+    distance, and the least distance U from any p to a point of its own
+    row bounds the winner's.  A row with L > U + HULL_PRUNE_SLACK * S,
+    for S the largest coordinate size (at least 1), is farther than the
+    winner whatever the rounding, unless the cross-product slack counts
+    it inside; so a row within reach of that slack is measured too."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    if P.shape[-1] == 1:
+        dist = hull_distances(P, Q)
+        i = int(np.argmin(dist))
+        return i, float(dist[i])
+    x, y = _slot_planes(Q)
+    px, py = P[:, 0], P[:, 1]
+    lox, hix, loy, hiy = x.min(axis=0), x.max(axis=0), y.min(axis=0), y.max(axis=0)
+    box = _norms(np.maximum(np.maximum(0.0, lox - px), px - hix),
+                 np.maximum(np.maximum(0.0, loy - py), py - hiy))
+    scale = max(1.0, float(np.max(np.abs(Q))), float(np.max(np.abs(P))))
+    bound = float(np.min(_norms(px - x, py - y))) + HULL_PRUNE_SLACK * scale
+    # A cross product of coordinates within +-scale rounds by less than
+    # 64 eps scale^2; the reach is doubled for the rounding of the rest.
+    sigma = HULL_CROSS_SLACK + 64.0 * np.finfo(float).eps * scale * scale
+    reach = 2.0 * sigma * _in_row_blocks(_cross_slack_reach, x, y, _norms(hix - lox, hiy - loy))
+    rows = np.flatnonzero(~(box > np.maximum(bound, reach)))  # a NaN row is kept
+    dist = _in_row_blocks(_planar_hull_block, px[rows], py[rows], x[:, rows], y[:, rows])
+    j = int(np.argmin(dist))
+    return int(rows[j]), float(dist[j])
 
 
 @dataclass(frozen=True, eq=False)

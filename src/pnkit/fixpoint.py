@@ -9,8 +9,10 @@ heuristics):
     discontinuity measure -- a point displaced by no more than the
     map's own jumping;
   * a candidate contained in (or within one grid cell of) the convex
-    hull of its own one-sided limit values, measured exactly for a whole
-    grid at a time by `discont.hull_distances`.
+    hull of its own one-sided limit values: `discont.nearest_to_hull`
+    finds the first of least exact hull distance on a whole grid at
+    once, measuring in 2-d only the candidates whose bounding-box
+    distance does not already rule them out.
 
 Existence of both is guaranteed for self-maps of a compact interval, so
 a search that still fails after MAX_REFINEMENTS halvings of its grid
@@ -38,7 +40,7 @@ import numpy as np
 from .ddf import VALUE_TOL, Ddf, ddf_leq_witness
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_T_GRID,
                       DiscontinuityEstimate, _validate_ascending, _validate_descending,
-                      convex_hull, discontinuity_measure, hull_distances)
+                      convex_hull, discontinuity_measure, nearest_to_hull)
 from .errors import InvalidArgumentError, TheoremViolationError
 from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norms
 
@@ -146,11 +148,10 @@ def kakutani_search(m, h: float, tol: float | None = None) -> KakutaniResult:
     for cur_h in steps:
         cands = m.candidates(cur_h)
         limits = m.limit_values(cands)
-        dist = hull_distances(cands, limits)
-        i = int(np.argmin(dist))
-        if best is None or dist[i] < best.distance:
+        i, dist = nearest_to_hull(cands, limits)
+        if best is None or dist < best.distance:
             best = KakutaniResult(point=tuple(cands[i].tolist()), hull=convex_hull(limits[i]),
-                                  distance=float(dist[i]))
+                                  distance=dist)
         if best.distance <= tol:
             return best
     raise TheoremViolationError(

@@ -39,9 +39,11 @@ Vector = tuple[float, ...]
 
 DEFAULT_LAMBDAS: tuple[float, ...] = tuple(k / 10.0 for k in range(11))
 
-# Largest number of sample pairs `random_vector_pairs` draws; a larger
-# count is refused before anything is allocated.
+# Largest number of sample pairs `random_vector_pairs` draws, and of
+# coordinates in them (pairs x 2 x dimension); more is refused before
+# anything is allocated.
 MAX_SAMPLE_PAIRS = 10_000
+MAX_SAMPLE_COORDS = 1 << 22
 
 
 def as_vector(coords, dim: int | None = None) -> Vector:
@@ -256,4 +258,8 @@ def random_vector_pairs(dim: int, count: int, seed: int, scale: float = 1.0) -> 
     (count, 2, dim) array."""
     if not 1 <= count <= MAX_SAMPLE_PAIRS:
         raise InvalidArgumentError(f"count must be in [1, {MAX_SAMPLE_PAIRS}], got {count!r}")
+    if 2 * count * dim > MAX_SAMPLE_COORDS:
+        raise InvalidArgumentError(
+            f"{count} pairs in dimension {dim} need more than "
+            f"MAX_SAMPLE_COORDS={MAX_SAMPLE_COORDS} coordinates")
     return np.random.default_rng(seed).standard_normal((count, 2, dim)) * scale

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -160,20 +161,28 @@ class TNormAxiomReport:
 def check_tnorm_axioms(kind: TNormKind, samples: Iterable) -> TNormAxiomReport:
     """Measure axiom residuals (commutativity, associativity,
     monotonicity in each place, identity at 1) over sample triples in
-    [0, 1]^3."""
-    comm = assoc = mono = ident = 0.0
-    n = 0
-    for triple in samples:
-        a, b, c = (float(v) for v in triple)
-        for v in (a, b, c):
-            if not (0.0 <= v <= 1.0):
-                raise InvalidArgumentError(f"sample value {v!r} outside [0, 1]")
-        comm = max(comm, abs(tnorm_apply(kind, a, b) - tnorm_apply(kind, b, a)))
-        assoc = max(assoc, abs(tnorm_apply(kind, a, tnorm_apply(kind, b, c))
-                               - tnorm_apply(kind, tnorm_apply(kind, a, b), c)))
-        lo, hi = min(a, b), max(a, b)
-        mono = max(mono, tnorm_apply(kind, lo, c) - tnorm_apply(kind, hi, c))
-        ident = max(ident, abs(tnorm_apply(kind, a, 1.0) - a))
-        n += 1
-    return TNormAxiomReport(kind=kind, commutativity=comm, associativity=assoc,
-                            monotonicity=mono, identity=ident, samples=n)
+    [0, 1]^3, all triples at once with `tnorm_apply`'s arithmetic.  The
+    first value outside [0, 1] in row-major order, NaN included, is
+    refused."""
+    arr = np.asarray(list(samples), dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InvalidArgumentError(f"samples must be triples, got an array of shape {arr.shape}")
+    bad = ~((arr >= 0.0) & (arr <= 1.0))
+    if np.any(bad):
+        raise InvalidArgumentError(f"sample value {float(arr.flat[np.argmax(bad)])!r} outside [0, 1]")
+    a, b, c = arr.T
+    T = partial(tnorm_apply_np, kind)
+
+    def worst(residuals) -> float:
+        # Python's max keeps the initial 0.0 against a -0.0, as the loop did.
+        return max(0.0, float(np.max(residuals, initial=0.0)))
+
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return TNormAxiomReport(kind=kind,
+                            commutativity=worst(np.abs(T(a, b) - T(b, a))),
+                            associativity=worst(np.abs(T(a, T(b, c)) - T(T(a, b), c))),
+                            monotonicity=worst(T(lo, c) - T(hi, c)),
+                            identity=worst(np.abs(T(a, 1.0) - a)),
+                            samples=len(arr))

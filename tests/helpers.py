@@ -18,14 +18,16 @@ from itertools import combinations
 
 import numpy as np
 
-from pnkit import Ddf, PiecewiseMap1D, TheoremViolationError, prob_norm
-from pnkit.ddf import LIMIT_MERGE_TOL, _cluster_representatives, comparison_probes
+from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, TheoremViolationError,
+                   prob_norm)
+from pnkit.ddf import (HULL_CROSS_SLACK, LIMIT_MERGE_TOL, _cluster_representatives,
+                       comparison_probes)
 from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
 from pnkit.fixpoint import MAX_REFINEMENTS, KakutaniResult
 from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_shape,
                                  default_tprime_schedule)
 from pnkit.pn_space import profile_at, vec_norm, vec_norms
-from pnkit.tnorms import TNormKind, tnorm_apply, tnorm_apply_np
+from pnkit.tnorms import TNormAxiomReport, TNormKind, tnorm_apply, tnorm_apply_np
 
 
 def dyadic_ddf(rng: np.random.Generator, max_jumps: int = 6,
@@ -340,3 +342,52 @@ def planar_hull_oracle(p, pts, samples: int = 4097) -> tuple[bool, float, float]
         dist = min(dist, float(np.hypot(*(line - np.asarray(p)).T).min()))
         err = max(err, float(np.hypot(*(b - a))) / (2 * (samples - 1)))
     return contained, dist, err
+
+
+def hull_distances_pairwise(P, Q) -> np.ndarray:
+    """`discont.hull_distances` in 2-d, one segment or fan triangle at a
+    time over all rows: the same elementwise arithmetic, so its values
+    must match bit for bit."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    nearest, inside = vec_norms(P - Q[:, 0]), np.zeros(len(P), dtype=bool)
+    for i, j in combinations(range(Q.shape[1]), 2):
+        a, ab = Q[:, i], Q[:, j] - Q[:, i]
+        ap = P - a
+        len2, dot = np.sum(ab * ab, axis=1), np.sum(ap * ab, axis=1)
+        s = np.clip(dot / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
+        nearest = np.minimum(nearest, vec_norms(ap - s[:, None] * ab))
+        inside |= ((len2 > 0.0) & (np.abs(cross(ab, ap)) <= HULL_CROSS_SLACK)
+                   & (dot >= 0.0) & (dot <= len2))
+    a = Q[:, 0]
+    for i, j in combinations(range(1, Q.shape[1]), 2):
+        b, c = Q[:, i], Q[:, j]
+        area = cross(b - a, c - a)
+        sides = np.stack([cross(b - a, P - a), cross(c - b, P - b), cross(a - c, P - c)])
+        inside |= ((np.abs(area) > HULL_CROSS_SLACK)
+                   & np.all(np.sign(area) * sides >= -HULL_CROSS_SLACK, axis=0))
+    return np.where(inside, 0.0, nearest)
+
+
+def tnorm_axioms_loop(kind: TNormKind, samples) -> dict:
+    """`tnorms.check_tnorm_axioms` one triple at a time through the scalar
+    `tnorm_apply`, as its report's JSON object."""
+    comm = assoc = mono = ident = 0.0
+    n = 0
+    for triple in samples:
+        a, b, c = (float(v) for v in triple)
+        for v in (a, b, c):
+            if not (0.0 <= v <= 1.0):
+                raise InvalidArgumentError(f"sample value {v!r} outside [0, 1]")
+        comm = max(comm, abs(tnorm_apply(kind, a, b) - tnorm_apply(kind, b, a)))
+        assoc = max(assoc, abs(tnorm_apply(kind, a, tnorm_apply(kind, b, c))
+                               - tnorm_apply(kind, tnorm_apply(kind, a, b), c)))
+        lo, hi = min(a, b), max(a, b)
+        mono = max(mono, tnorm_apply(kind, lo, c) - tnorm_apply(kind, hi, c))
+        ident = max(ident, abs(tnorm_apply(kind, a, 1.0) - a))
+        n += 1
+    return TNormAxiomReport(kind=kind, commutativity=comm, associativity=assoc,
+                            monotonicity=mono, identity=ident, samples=n).to_json_obj()

@@ -1,17 +1,24 @@
 """Tests for the command-line runner and scenario generator."""
 
 import hashlib
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pnkit import SampledMap, TheoremViolationError, kakutani_search
 from pnkit.cli import (ScenarioFamily, generate_scenarios, load_config, main,
                        parse_config, parse_ddf_spec, run_verify, write_csv,
                        write_report)
 from pnkit.errors import InvalidArgumentError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 JUMP_CONFIG = {
     "space": {"dimension": 1, "generator": [[1.0, 1.0]], "tau": "M", "tau_star": "M"},
@@ -118,6 +125,28 @@ class TestSubcommands:
         assert out["pass"] is True
         assert len(out["points"]) == 5
 
+    def test_continuity_sample_count_on_a_planar_map(self, tmp_path, capsys):
+        m = SampledMap.from_function(lambda p: (p[0] / 2, p[1] / 2), ((0.0, 1.0), (0.0, 1.0)), 0.25)
+        cfg = {"space": {"dimension": 2, "generator": [[1.0, 1.0]], "tau": "M", "tau_star": "M"},
+               "map": {"sampled": m.to_json_obj()}, "t": 0.5}
+        path = write_config(tmp_path, dict(cfg, sample={"count": 5}))
+        assert main(["continuity", "--config", str(path)]) == 0
+        by_count = json.loads(capsys.readouterr().out)
+        lattice = [[i / 4, j / 4] for i in range(5) for j in range(5)]
+        assert [pt["p"] for pt in by_count["points"]] == lattice
+        path = write_config(tmp_path, dict(cfg, sample={"points": lattice}), name="points.json")
+        assert main(["continuity", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == by_count
+
+    def test_continuity_sample_lattice_over_budget_is_refused(self, tmp_path, capsys):
+        # 1025 ** 2 nodes exceed MAX_GRID_NODES = 1024 ** 2; nothing is built.
+        m = SampledMap.from_function(lambda p: p, ((0.0, 1.0), (0.0, 1.0)), 0.5)
+        path = write_config(tmp_path, {"space": {"dimension": 2}, "map": {"sampled": m.to_json_obj()},
+                                       "sample": {"count": 1025}})
+        assert main(["continuity", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "sample.count" in err and "1048576" in err and "Traceback" not in err
+
     def test_psi_both_routes(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["psi", "--config", str(path), "--route", "both"]) == 0
@@ -207,9 +236,12 @@ class TestGoldenOutputs:
          "0f6d9d49d7e40f4fb7810ef85ee9c48c8dd105e8e9626ba6ff7a709f0833c239"),
         ("batch", "9fe7563b1c71ef7a0115259639e8c989f3ebd239fd3c01a511cab4b5fb7b8bb9",
          "3332e48ba721b14fd81dc74e637c29e44f58037888e9b04d289217b9ec4a6b3b"),
+        # A two-region map on a 21 x 21 lattice: the 2-d estimator and hull search.
+        ("sampled", "e21e677952bb217c7edc31e5f0c4a6a860090ecc02fc094fde2ace71f8ae0110",
+         "7f0a9dc44844be18d4764368fb266a5d10815b4f19b4352bd71da17ef273ace6"),
     ])
     def test_report_and_csv_digests(self, tmp_path, name, report_sha, csv_sha):
-        config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        config = CONFIGS / f"{name}.json"
         report, rows = run_verify(load_config(str(config)))
         write_report(report, str(tmp_path / "report.json"))
         write_csv(rows, str(tmp_path / "curves.csv"))
@@ -287,6 +319,13 @@ class TestExitCodes:
         ("continuity", {"space": {"dimension": 1,
                                   "generator": [[1.0 + k / 512, 1 / 512] for k in range(512)]},
                         "probe_budget": 65536}, "schedules.tprime"),
+        # Found by TestConfigFuzz: an unbounded batch or sample array, and
+        # values numpy refused with a traceback.
+        ("verify-t34", {"scenarios": {"count": 10 ** 13}}, "count must be in [1, 16384]"),
+        ("verify-t34", {"scenarios": {"count": 2, "values": [0.5, math.nan]}}, "values"),
+        ("verify-t34", {"scenarios": {"count": 2, "values": [1.0, 0.0]}}, "values"),
+        ("verify-t34", {"seed": -1}, "seed: must be nonnegative"),
+        ("check-axioms", {"space": {"dimension": 10 ** 13}}, "MAX_SAMPLE_COORDS"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
@@ -329,3 +368,57 @@ class TestExitCodes:
         ]}})
         with pytest.raises(InvalidArgumentError, match="map"):
             load_config(str(path))
+
+
+# The subcommand each shipped config is written for.
+CONFIG_COMMANDS = {"jump": "verify-t34", "batch": "verify-t34", "sampled": "verify-t34",
+                   "simple": "check-axioms"}
+BAD_VALUES = [-1, 0, math.nan, "x", [], {}, 10 ** 13]
+
+
+def field_paths(obj, path=()):
+    """Paths to every member of every object and to the first two items
+    of every list in a JSON value."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))[:2]
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+class TestConfigFuzz:
+    def test_every_shipped_config_is_fuzzed(self):
+        assert sorted(p.stem for p in CONFIGS.glob("*.json")) == sorted(CONFIG_COMMANDS)
+
+    # check-axioms on simple.json takes about a second, so it gets fewer examples.
+    @pytest.mark.parametrize("name, examples", [("jump", 12), ("batch", 8), ("sampled", 12),
+                                                ("simple", 4)])
+    def test_one_bad_field_exits_cleanly(self, name, examples):
+        original = json.loads((CONFIGS / f"{name}.json").read_text())
+        paths = list(field_paths(original))
+
+        @settings(max_examples=examples, deadline=None, database=None, derandomize=True)
+        @given(path=st.sampled_from(paths), value=st.sampled_from(BAD_VALUES))
+        def run(path, value):
+            cfg = json.loads(json.dumps(original))
+            with tempfile.TemporaryDirectory() as tmp:
+                for field in ("output", "output_csv"):
+                    if field in cfg:
+                        cfg[field] = str(Path(tmp) / field)
+                target = cfg
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+                config = Path(tmp) / "config.json"
+                config.write_text(json.dumps(cfg))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main([CONFIG_COMMANDS[name], "--config", str(config)])
+            assert code in (0, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+
+        run()

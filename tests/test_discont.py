@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from pnkit import (Ddf, InvalidArgumentError, Piece, PiecewiseMap1D, PnSpace,
                    left_limit_of_infimum, limit_set, make_epsilon, prob_norm,
                    sibley_distance)
 from pnkit.cli import ScenarioFamily, generate_scenarios
-from pnkit.discont import MAX_GRID_NODES, hull_distances, map_eval_vec
+from pnkit import discont
+from pnkit.discont import MAX_GRID_NODES, hull_distances, map_eval_vec, nearest_to_hull
 
-from helpers import (dyadic_ddf, estimator_levels_oracle, planar_hull_oracle,
-                     sampled_eval_oracle)
+from helpers import (dyadic_ddf, estimator_levels_oracle, hull_distances_pairwise,
+                     planar_hull_oracle, sampled_eval_oracle)
 
 
 def jump_map() -> PiecewiseMap1D:
@@ -246,6 +248,146 @@ class TestHullDistances:
     def test_one_dimensional_interval(self):
         got = hull_distances([[0.1], [0.5], [0.9]], [[[0.2], [0.6]]] * 3)
         assert got.tolist() == [max(0.0, 0.2 - 0.1), 0.0, 0.9 - 0.6]
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+@st.composite
+def hull_rows(draw, slots=st.integers(1, 8), max_rows=12):
+    """n points and n rows of k grid points each, k shared by the rows."""
+    k, n = draw(slots), draw(st.integers(1, max_rows))
+    P = draw(st.lists(st.one_of(grid_point, free_point), min_size=n, max_size=n))
+    Q = draw(st.lists(st.lists(grid_point, min_size=k, max_size=k), min_size=n, max_size=n))
+    return np.array(P, dtype=float), np.array(Q, dtype=float).reshape(n, k, 2)
+
+
+@st.composite
+def collinear_rows(draw):
+    """Rows of points a + t (b - a) for small integers t, so each row is
+    exactly collinear, with repeated t giving duplicated slots."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    P = draw(st.lists(st.one_of(grid_point, free_point), min_size=n, max_size=n))
+    Q = []
+    for _ in range(n):
+        (ax, ay), (bx, by) = draw(grid_point), draw(grid_point)
+        ts = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+        Q.append([(ax + t * (bx - ax), ay + t * (by - ay)) for t in ts])
+    return np.array(P, dtype=float), np.array(Q, dtype=float).reshape(n, k, 2)
+
+
+@st.composite
+def near_edge_rows(draw):
+    """Rows of a grid triangle (vertices repeated up to k slots) and a
+    point within 1e-12 of one of its edges, inside or out."""
+    k, n = draw(st.integers(3, 8)), draw(st.integers(1, 8))
+    P, Q = [], []
+    for _ in range(n):
+        tri = draw(st.lists(grid_point, min_size=3, max_size=3, unique=True))
+        (ax, ay), (bx, by) = tri[:2]
+        t, offset = draw(st.integers(0, 16)) / 16, draw(st.floats(-1e-12, 1e-12))
+        length = math.hypot(bx - ax, by - ay)
+        P.append((ax + t * (bx - ax) - offset * (by - ay) / length,
+                  ay + t * (by - ay) + offset * (bx - ax) / length))
+        Q.append([tri[i % 3] for i in range(k)])
+    return np.array(P, dtype=float), np.array(Q, dtype=float)
+
+
+class TestNearestToHull:
+    """`nearest_to_hull` prunes rows before it measures them; it must
+    still return argmin over the full `hull_distances`, bit for bit, and
+    the one-pass kernel must match the pairwise loop bit for bit."""
+
+    def check(self, P, Q, block_rows=3):
+        with patch.object(discont, "HULL_BLOCK_ROWS", block_rows):
+            dist = hull_distances(P, Q)
+            got = nearest_to_hull(P, Q)
+        assert same_bits(dist, hull_distances_pairwise(P, Q))
+        i = int(np.argmin(dist))
+        assert got[0] == i and same_bits(got[1], dist[i])
+        return got
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=hull_rows())
+    def test_matches_argmin_of_all_rows(self, rows):
+        self.check(*rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=hull_rows(slots=st.integers(1, 2)))
+    def test_one_or_two_slots(self, rows):
+        # No fan triangle, and for k = 1 no segment either.
+        self.check(*rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=collinear_rows())
+    def test_collinear_points_and_duplicated_slots(self, rows):
+        self.check(*rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=near_edge_rows())
+    def test_points_within_a_slack_of_an_edge(self, rows):
+        self.check(*rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=hull_rows())
+    def test_exact_ties_go_to_the_first_row(self, rows):
+        P, Q = rows
+        # Every distance appears twice, the second time after the first.
+        i, _ = self.check(np.concatenate([P, P[::-1]]), np.concatenate([Q, Q[::-1]]))
+        assert i < len(P)
+
+    @pytest.mark.parametrize("p, pts", [
+        # A needle of doubled area 4e-12 with no short side: the slack on
+        # its sides takes in a point 0.2 past its tip.
+        ((1.2, 0.0), [(0.0, 0.0), (1.0, 0.0), (0.5, 4e-12)]),
+        # A segment of length 1e-13: the slack on its cross product takes
+        # in a point 0.005 off it.
+        ((5e-14, 0.005), [(0.0, 0.0), (1e-13, 0.0), (0.0, 0.0)]),
+    ])
+    def test_rows_counted_inside_by_the_slack_are_measured(self, p, pts):
+        # Both rows read 0, so the far first row must win though its box
+        # distance is far beyond the second row's own vertex.
+        P, Q = [p, (0.5, 0.5)], [pts, [(0.5, 0.5)] * 3]
+        assert hull_distances(P, Q).tolist() == [0.0, 0.0]
+        assert self.check(np.array(P), np.array(Q)) == (0, 0.0)
+
+    def test_identity_map_measures_every_row_in_blocks(self, monkeypatch):
+        # Every node of the identity lies in the bounding box of its
+        # neighbours' images, so no row can be pruned.
+        m = SampledMap.from_function(lambda p: p, ((0.0, 1.0), (0.0, 1.0)), 1.0 / 40)
+        P = m.candidates(m.resolution)
+        Q = m.limit_values(P)
+        blocks = []
+        kernel = discont._planar_hull_block
+
+        def spy(px, *rest):
+            blocks.append(len(px))
+            return kernel(px, *rest)
+
+        monkeypatch.setattr(discont, "_planar_hull_block", spy)
+        # The corner node lies outside its neighbours' hull; the next node
+        # on the edge lies on a segment between two of them.
+        assert self.check(P, Q, block_rows=discont.HULL_BLOCK_ROWS) == (1, 0.0)
+        # hull_distances, then nearest_to_hull: both measure all 41 x 41 rows.
+        n = len(P)
+        assert blocks == 2 * ([discont.HULL_BLOCK_ROWS] * (n // discont.HULL_BLOCK_ROWS)
+                              + [n % discont.HULL_BLOCK_ROWS])
+
+    def test_kernel_across_a_block_boundary_matches_the_oracle(self):
+        n = discont.HULL_BLOCK_ROWS + 8
+        rng = np.random.default_rng(8)
+        Q = rng.integers(-16, 17, (n, 8, 2)) / 16
+        P = np.where(rng.random((n, 1)) < 0.5, rng.integers(-16, 17, (n, 2)) / 16,
+                     rng.uniform(-1.5, 1.5, (n, 2)))
+        dist = hull_distances(P, Q)
+        assert same_bits(dist, hull_distances_pairwise(P, Q))
+        for r in range(n - 16, n):
+            contained, exact, err = planar_hull_oracle(P[r], Q[r])
+            if contained:
+                assert dist[r] == 0.0
+            else:
+                assert exact - err - 1e-15 <= dist[r] <= exact + 1e-15
 
 
 class TestSampledMap:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_tau_curve, ddf_pointwise_max, dyadic_ddf,
-                     midpoint_scan_tau)
+                     midpoint_scan_tau, tnorm_axioms_loop)
 from pnkit import (Ddf, InvalidArgumentError, TNormKind, check_tnorm_axioms,
                    ddf_leq, make_epsilon, sibley_distance, tau_apply,
                    tnorm_apply)
@@ -90,6 +90,31 @@ class TestAxiomChecks:
     def test_rejects_samples_outside_unit_cube(self):
         with pytest.raises(InvalidArgumentError):
             check_tnorm_axioms(TNormKind.M, [(0.5, 1.5, 0.5)])
+
+    # Quarters give exact ties and exact T values; -0.0 passes the range check.
+    unit_value = st.one_of(st.floats(0.0, 1.0), st.integers(0, 4).map(lambda k: k / 4),
+                           st.just(-0.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS),
+           samples=st.lists(st.tuples(unit_value, unit_value, unit_value), max_size=20))
+    def test_matches_the_scalar_loop(self, kind, samples):
+        want = repr(tnorm_axioms_loop(kind, samples))
+        assert repr(check_tnorm_axioms(kind, samples).to_json_obj()) == want
+        assert repr(check_tnorm_axioms(kind, np.array(samples).reshape(-1, 3)).to_json_obj()) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(samples=st.lists(st.tuples(*(st.one_of(st.floats(-0.5, 1.5), st.just(np.nan)),) * 3),
+                            min_size=1, max_size=6))
+    def test_refuses_the_first_bad_value_as_the_loop_does(self, samples):
+        try:
+            tnorm_axioms_loop(TNormKind.M, samples)
+        except InvalidArgumentError as exc:
+            with pytest.raises(InvalidArgumentError) as got:
+                check_tnorm_axioms(TNormKind.M, samples)
+            assert str(got.value) == str(exc)
+        else:
+            check_tnorm_axioms(TNormKind.M, samples)
 
 
 class TestTauMatchesMidpointScan:
