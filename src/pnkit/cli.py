@@ -26,12 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from .ddf import Ddf, make_epsilon, sibley_distance
-from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS,
-                      DEFAULT_T_GRID, MAX_GRID_NODES, Piece, PiecewiseMap1D, SampledMap,
-                      _validate_ascending, _validate_descending, discontinuity_estimate,
-                      discontinuity_exact, discontinuity_measure, lattice_nodes)
+from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_T_GRID,
+                      MAX_GRID_NODES, Piece, PiecewiseMap1D, SampledMap, _validate_ascending,
+                      _validate_descending, discontinuity_estimate, discontinuity_exact,
+                      discontinuity_measure, grid_node_count, lattice_nodes)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
-from .fixpoint import VerifyResult, verify_approx_fixed_point
+from .fixpoint import MAX_REFINEMENTS, VerifyResult, verify_approx_fixed_point
 from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
                             strong_t_continuity_test)
 from .pn_space import PnSpace, check_axioms, random_vector_pairs
@@ -224,6 +224,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
         t_grid = _parse_t_grid(sched.get("t_grid"))
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"schedules: {exc}") from exc
+    if isinstance(mp, PiecewiseMap1D) or (mp is None and fam is not None):
+        # The searches may halve the finest step MAX_REFINEMENTS times; a
+        # sampled map has its lattice and no other grid.
+        lo, hi = fam.domain if mp is None else mp.domain
+        _convert("schedules.grids", lambda h: [grid_node_count(lo, hi, h * 0.5 ** k)
+                                               for k in range(MAX_REFINEMENTS + 1)], grids[-1])
 
     for field in ("output", "output_csv"):
         if not isinstance(raw.get(field), (str, type(None))):
@@ -433,10 +439,9 @@ def cmd_verify_t34(args) -> int:
     cfg = load_config(args.config)
     report, results = run_verify(cfg)
     out_json = args.output or cfg.output
-    out_csv = cfg.output_csv
     if out_json:
-        if out_csv is None:
-            out_csv = str(Path(out_json).with_suffix(".csv"))
+        # --output moves the curves too, beside the report.
+        out_csv = (not args.output and cfg.output_csv) or str(Path(out_json).with_suffix(".csv"))
         write_report(report, out_json)
         write_csv(results, out_csv)
         print(f"report: {out_json}")
@@ -526,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-t34", help="full dominance verification pipeline")
     p.add_argument("--config", required=True)
-    p.add_argument("--output", default=None, help="report JSON path (overrides config)")
+    p.add_argument("--output", default=None,
+                   help="report JSON path; the curves go beside it (overrides config)")
     p.set_defaults(func=cmd_verify_t34)
 
     p = sub.add_parser("gen-scenarios", help="generate seeded random piecewise maps")

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ KNOT_MERGE_TOL = 1e-12
 # are float dust on the same scale as the knot merge.
 VALUE_TOL = 1e-12
 
-# Absolute tolerance of the bisection in sibley_distance.
+# Absolute tolerance of the interval halving in sibley_distance.
 SIBLEY_TOL = 1e-9
 
 # One-sided limits of a map closer than this are one limit value.
@@ -57,8 +56,8 @@ GENERATOR_MASS_TOL = 1e-9
 # be a search candidate, clamped onto the piece.
 FIXED_POINT_SLACK = 1e-12
 
-# How far outside a planar hull edge, by its cross product, a point may lie
-# and still count as inside the hull.
+# How far outside a planar hull edge, by its cross product, a point in the
+# bounding box of the hull's points may lie and still count as inside it.
 HULL_CROSS_SLACK = 1e-12
 
 # How much farther than the nearest limit value, per unit of coordinate
@@ -77,6 +76,27 @@ def _cluster_representatives(sorted_vals: Sequence[float],
         if not reps or v - reps[-1] > tol:
             reps.append(v)
     return reps
+
+
+def _cluster_probes(knots: Iterable[float]) -> tuple[list[float], list[float]]:
+    """The cluster heads of `knots`, given in any order, and a probe right
+    of each: the midpoint to the next head, or one past the last.  A step
+    function whose knots all lie among `knots` is constant from just
+    after a head up to its probe, up to the cluster tolerance."""
+    reps = _cluster_representatives(sorted(knots))
+    return reps, [(a + b) / 2.0 for a, b in zip(reps, reps[1:])] + [r + 1.0 for r in reps[-1:]]
+
+
+def _from_levels(reps: Sequence[float], levels: Sequence[float]) -> "Ddf":
+    """The step function that rises to levels[i] just after reps[i], for
+    ascending cluster heads and nondecreasing levels: one jump per rise."""
+    jumps: list[tuple[float, float]] = []
+    prev = 0.0
+    for rep, v in zip(reps, levels):
+        if v - prev > 0.0:
+            jumps.append((rep, v - prev))
+            prev = v
+    return Ddf(tuple(jumps))
 
 
 def _canonical_jumps(pairs: Iterable) -> tuple[tuple[float, float], ...]:
@@ -117,37 +137,27 @@ class Ddf:
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
+    # The knot locations, and the value right of each knot after a
+    # leading 0.0 for everything below the first: read-only arrays built
+    # once from the canonical jumps.
+    _locs: np.ndarray = field(init=False, repr=False, compare=False)
+    _cums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "jumps", _canonical_jumps(self.jumps))
-
-    @cached_property
-    def _locs(self) -> list[float]:
-        return [loc for loc, _ in self.jumps]
-
-    @cached_property
-    def _cums(self) -> list[float]:
-        # _cums[i] is the value on the interval right of the i-th knot;
-        # a leading 0.0 covers everything below the first knot.
-        out = [0.0]
-        running = 0.0
-        for _, mass in self.jumps:
-            running = min(running + mass, 1.0)
-            out.append(running)
-        return out
-
-    @cached_property
-    def _locs_np(self) -> np.ndarray:
-        return np.array(self._locs, dtype=float)
-
-    @cached_property
-    def _cums_np(self) -> np.ndarray:
-        return np.array(self._cums, dtype=float)
+        jumps = _canonical_jumps(self.jumps)
+        locs = np.array([loc for loc, _ in jumps], dtype=float)
+        # The running mass, clamped at 1 from the first sum that exceeds it.
+        cums = np.array([0.0, *accumulate(mass for _, mass in jumps)])
+        np.minimum(cums, 1.0, out=cums)
+        locs.flags.writeable = cums.flags.writeable = False
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "_locs", locs)
+        object.__setattr__(self, "_cums", cums)
 
     @property
     def total_mass(self) -> float:
         """Total finite mass; 1 - total_mass sits at +inf."""
-        return self._cums[-1]
+        return float(self._cums[-1])
 
     def eval(self, x) -> float:
         """Value at x: the mass strictly below x, or 1 at +inf."""
@@ -156,12 +166,12 @@ class Ddf:
             raise InvalidArgumentError(f"evaluation point must be >= 0, got {x!r}")
         if math.isinf(x):
             return 1.0
-        return self._cums[bisect_left(self._locs, x)]
+        return float(self.eval_many(x))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized `eval` for finite nonnegative points."""
-        idx = np.searchsorted(self._locs_np, xs, side="left")
-        return self._cums_np[idx]
+        """Vectorized `eval` for finite nonnegative points (at +inf it
+        reads the total finite mass, where `eval` reads 1)."""
+        return self._cums[np.searchsorted(self._locs, xs, side="left")]
 
     def scale_locations(self, c: float) -> "Ddf":
         """The function x -> F(x / c): every jump location scaled by c > 0."""
@@ -219,15 +229,8 @@ def comparison_probes(*fns: Ddf) -> list[float]:
     everywhere iff they agree on these probes; regions narrower than the
     cluster tolerance are deliberately invisible.
     """
-    knots = sorted({loc for F in fns for loc, _ in F.jumps})
-    reps = _cluster_representatives(knots)
-    if not reps:
-        return [1.0]
-    probes = list(reps)
-    probes.extend((a + b) / 2.0 for a, b in zip(reps, reps[1:]))
-    probes.append(reps[-1] + 1.0)
-    probes.sort()
-    return probes
+    reps, probes = _cluster_probes(loc for F in fns for loc, _ in F.jumps)
+    return sorted(reps + probes) if reps else [1.0]
 
 
 def ddf_leq_witness(F: Ddf, G: Ddf) -> tuple[float, float]:
@@ -257,22 +260,16 @@ def _shift_check(A: Ddf, B: Ddf, h: float) -> bool:
     # left-continuous step functions of x, so the supremum of the
     # difference is attained at a breakpoint or at the right endpoint.
     xmax = 1.0 / h
-    probes = [xmax]
-    for loc, _ in A.jumps:
-        if 0.0 < loc < xmax:
-            probes.append(loc)
-    for loc, _ in B.jumps:
-        c = loc - h
-        if 0.0 < c < xmax:
-            probes.append(c)
-    return all(A.eval(x) <= B.eval(x + h) + h for x in probes)
+    xs = np.concatenate([A._locs, B._locs - h])
+    xs = np.append(xs[(xs > 0.0) & (xs < xmax)], xmax)
+    return bool(np.all(A.eval_many(xs) <= B.eval_many(xs + h) + h))
 
 
 def sibley_distance(F: Ddf, G: Ddf) -> float:
     """Modified Levy metric between two step d.d.f.s.
 
     The infimal h > 0 such that G(x) <= F(x+h) + h and
-    F(x) <= G(x+h) + h for all x in (0, 1/h), found by bisection to
+    F(x) <= G(x+h) + h for all x in (0, 1/h), found by interval halving to
     absolute tolerance 1e-9.  Metrizes weak convergence; h = 1 always
     satisfies the condition, so the distance is at most 1.
 
@@ -300,14 +297,6 @@ def left_limit_of_infimum(family: Iterable[Ddf]) -> Ddf:
     fams = list(family)
     if not fams:
         raise InvalidArgumentError("family must be nonempty")
-    knots = sorted({loc for F in fams for loc, _ in F.jumps})
-    reps = _cluster_representatives(knots)
-    jumps: list[tuple[float, float]] = []
-    prev = 0.0
-    for i, rep in enumerate(reps):
-        probe = (rep + reps[i + 1]) / 2.0 if i + 1 < len(reps) else rep + 1.0
-        v = min(F.eval(probe) for F in fams)
-        if v - prev > 0.0:
-            jumps.append((rep, v - prev))
-            prev = v
-    return Ddf(tuple(jumps))
+    reps, probes = _cluster_probes(loc for F in fams for loc, _ in F.jumps)
+    xs = np.array(probes)
+    return _from_levels(reps, np.min([F.eval_many(xs) for F in fams], axis=0).tolist())

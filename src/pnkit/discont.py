@@ -66,14 +66,22 @@ DEFAULT_GRID_RESOLUTIONS: tuple[float, ...] = (1.0 / 1024.0,)
 DEFAULT_T_GRID: tuple[float, ...] = tuple(k / 1024.0 for k in range(1, 1025))
 
 
+def grid_node_count(lo: float, hi: float, h: float) -> int:
+    """The node count of the uniform grid on [lo, hi] whose step is
+    nearest h, at least one cell, counted without building the grid;
+    refused when it exceeds MAX_GRID_NODES."""
+    cells = (hi - lo) / h
+    n = max(1, round(cells)) + 1 if math.isfinite(cells) else math.inf
+    if n > MAX_GRID_NODES:
+        raise InvalidArgumentError(
+            f"grid step h={h!r} needs {n} nodes, more than MAX_GRID_NODES={MAX_GRID_NODES}")
+    return n
+
+
 def grid_nodes(lo: float, hi: float, h: float) -> np.ndarray:
     """The uniform grid on [lo, hi] whose step is nearest h, at least one
     cell; refused when it would hold more than MAX_GRID_NODES nodes."""
-    n = max(1, int(round((hi - lo) / h)))
-    if n + 1 > MAX_GRID_NODES:
-        raise InvalidArgumentError(
-            f"grid step h={h!r} needs {n + 1} nodes, more than MAX_GRID_NODES={MAX_GRID_NODES}")
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, grid_node_count(lo, hi, h))
 
 
 def lattice_nodes(box, shape: Sequence[int]) -> np.ndarray:
@@ -400,7 +408,11 @@ def _planar_hull_block(px, py, x, y) -> np.ndarray:
                            (cx - bx, cy - by, px - bx, py - by),
                            (x0 - cx, y0 - cy, px - cx, py - cy)):
         holds &= sign * (ux * vy - uy * vx) >= -HULL_CROSS_SLACK
-    return np.where(inside | np.any(holds, axis=0), 0.0, nearest)
+    # The hull lies in the bounding box of its points, and these float
+    # comparisons are exact: the slack never takes in a point outside it.
+    in_box = ((x.min(axis=0) <= px) & (px <= x.max(axis=0))
+              & (y.min(axis=0) <= py) & (py <= y.max(axis=0)))
+    return np.where(in_box & (inside | np.any(holds, axis=0)), 0.0, nearest)
 
 
 def _slot_planes(Q: np.ndarray) -> np.ndarray:
@@ -412,33 +424,18 @@ def _slot_planes(Q: np.ndarray) -> np.ndarray:
 def hull_distances(P, Q) -> np.ndarray:
     """Distance from each row p of an (n, dim) array P to the convex hull
     of the matching row of an (n, k, dim) array Q: max(0, lo - x, x - hi)
-    in 1-d.  In 2-d, 0 when p lies on a segment between two of the points
-    or in a triangle of the first point and two others (these cover the
-    hull, star-shaped about that point), up to HULL_CROSS_SLACK on each
-    cross product; else the least distance to such a segment, exact as
-    the hull edges are among them.  Every segment and fan triangle of a
-    row is measured at once, HULL_BLOCK_ROWS rows at a time."""
+    in 1-d.  In 2-d, 0 when p lies in the bounding box of the points and
+    on a segment between two of them or in a triangle of the first point
+    and two others (these cover the hull, star-shaped about that point),
+    up to HULL_CROSS_SLACK on each cross product; else the least distance
+    to such a segment, exact as the hull edges are among them.  Every
+    segment and fan triangle of a row is measured at once,
+    HULL_BLOCK_ROWS rows at a time."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape[-1] == 1:
         x, lo, hi = P[:, 0], np.min(Q[..., 0], axis=1), np.max(Q[..., 0], axis=1)
         return np.maximum(np.maximum(0.0, lo - x), x - hi)
     return _in_row_blocks(_planar_hull_block, P[:, 0], P[:, 1], *_slot_planes(Q))
-
-
-def _cross_slack_reach(x, y, width) -> np.ndarray:
-    """How far, per unit of cross-product slack sigma, a point may lie
-    from the hull of each column of (k, n) coordinate arrays and still
-    pass one of `hull_distances`' inside tests: sigma / e past a segment
-    of length e, and sigma * 2 width / A past a triangle of doubled area
-    A, where a barycentric weight may fall to -sigma / A."""
-    (i, j), (b, c) = _hull_indices(len(x))
-    dx, dy = x[j] - x[i], y[j] - y[i]
-    len2 = dx * dx + dy * dy
-    shortest = np.sqrt(np.min(np.where(len2 > 0.0, len2, np.inf), axis=0, initial=np.inf))
-    vx, vy = x - x[0], y - y[0]
-    area = np.abs(vx[b] * vy[c] - vy[b] * vx[c])
-    least = np.min(np.where(area > HULL_CROSS_SLACK, area, np.inf), axis=0, initial=np.inf)
-    return np.maximum(1.0 / shortest, 2.0 * width / least)
 
 
 def nearest_to_hull(P, Q) -> tuple[int, float]:
@@ -449,8 +446,8 @@ def nearest_to_hull(P, Q) -> tuple[int, float]:
     distance, and the least distance U from any p to a point of its own
     row bounds the winner's.  A row with L > U + HULL_PRUNE_SLACK * S,
     for S the largest coordinate size (at least 1), is farther than the
-    winner whatever the rounding, unless the cross-product slack counts
-    it inside; so a row within reach of that slack is measured too."""
+    winner whatever the rounding: it lies outside its bounding box, where
+    no inside test holds."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape[-1] == 1:
         dist = hull_distances(P, Q)
@@ -458,16 +455,11 @@ def nearest_to_hull(P, Q) -> tuple[int, float]:
         return i, float(dist[i])
     x, y = _slot_planes(Q)
     px, py = P[:, 0], P[:, 1]
-    lox, hix, loy, hiy = x.min(axis=0), x.max(axis=0), y.min(axis=0), y.max(axis=0)
-    box = _norms(np.maximum(np.maximum(0.0, lox - px), px - hix),
-                 np.maximum(np.maximum(0.0, loy - py), py - hiy))
+    box = _norms(np.maximum(np.maximum(0.0, x.min(axis=0) - px), px - x.max(axis=0)),
+                 np.maximum(np.maximum(0.0, y.min(axis=0) - py), py - y.max(axis=0)))
     scale = max(1.0, float(np.max(np.abs(Q))), float(np.max(np.abs(P))))
     bound = float(np.min(_norms(px - x, py - y))) + HULL_PRUNE_SLACK * scale
-    # A cross product of coordinates within +-scale rounds by less than
-    # 64 eps scale^2; the reach is doubled for the rounding of the rest.
-    sigma = HULL_CROSS_SLACK + 64.0 * np.finfo(float).eps * scale * scale
-    reach = 2.0 * sigma * _in_row_blocks(_cross_slack_reach, x, y, _norms(hix - lox, hiy - loy))
-    rows = np.flatnonzero(~(box > np.maximum(bound, reach)))  # a NaN row is kept
+    rows = np.flatnonzero(~(box > bound))  # a NaN row is kept
     dist = _in_row_blocks(_planar_hull_block, px[rows], py[rows], x[:, rows], y[:, rows])
     j = int(np.argmin(dist))
     return int(rows[j]), float(dist[j])

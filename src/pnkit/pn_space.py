@@ -131,8 +131,8 @@ def profile_at(space: PnSpace, norms, t) -> np.ndarray:
     r == 0 (1 for every t > 0)."""
     r, t = np.broadcast_arrays(np.asarray(norms, dtype=float), np.asarray(t, dtype=float))
     gen = space.generator
-    below = np.count_nonzero(r[..., None] * gen._locs_np < t[..., None], axis=-1)
-    return np.where(r == 0.0, (t > 0.0).astype(float), gen._cums_np[below])
+    below = np.count_nonzero(r[..., None] * gen._locs < t[..., None], axis=-1)
+    return np.where(r == 0.0, (t > 0.0).astype(float), gen._cums[below])
 
 
 def norm_profile(space: PnSpace, r: float) -> Ddf:

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ddf import VALUE_TOL, Ddf, _cluster_representatives
+from .ddf import VALUE_TOL, Ddf, _cluster_probes, _from_levels
 from .errors import InvalidArgumentError
 
 # Largest number of input jump pairs tau_apply takes on; the pair sums
@@ -102,7 +102,7 @@ def tau_apply(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
         raise InvalidArgumentError(
             f"tau_apply of {len(F.jumps)}-jump and {len(G.jumps)}-jump d.d.f.s "
             f"needs more than {MAX_PAIR_SUMS} pair sums")
-    a, b = F._locs_np[:, None], G._locs_np[None, :]
+    a, b = F._locs[:, None], G._locs[None, :]
     sums = a + b
     # Two-sum: sums + err == a + b exactly.  A pair lies below a probe
     # exactly when its key, the float sum moved one step down where it
@@ -111,21 +111,12 @@ def tau_apply(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
     err = ((a - (sums - b_part)) + (b - b_part)).ravel()
     sums = sums.ravel()
     keys = np.where(err < 0.0, np.nextafter(sums, -np.inf), sums)
-    vals = tnorm_apply_np(kind, F._cums_np[1:, None], G._cums_np[None, 1:]).ravel()
+    vals = tnorm_apply_np(kind, F._cums[1:, None], G._cums[None, 1:]).ravel()
     order = np.lexsort((err, sums))  # by exact sum; sums and keys both ascend
-    sorted_sums = sums[order]
     running = np.maximum.accumulate(vals[order])
-    reps = np.array(_cluster_representatives(sorted_sums.tolist()))
-    probes = np.append((reps[:-1] + reps[1:]) / 2.0, reps[-1] + 1.0)
+    reps, probes = _cluster_probes(sums[order].tolist())
     below = np.searchsorted(keys[order], probes, side="left") - 1
-    levels = np.where(below >= 0, running[below], 0.0)
-    jumps: list[tuple[float, float]] = []
-    prev = 0.0
-    for rep, v in zip(reps.tolist(), levels.tolist()):
-        if v - prev > 0.0:
-            jumps.append((rep, v - prev))
-            prev = v
-    return Ddf(tuple(jumps))
+    return _from_levels(reps, np.where(below >= 0, running[below], 0.0).tolist())
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,34 @@ def dyadic_ddf(rng: np.random.Generator, max_jumps: int = 6,
     return Ddf(tuple((float(l), float(m)) for l, m in zip(locs, masses)))
 
 
+def cums_loop(F: Ddf) -> list[float]:
+    """Reference `Ddf._cums`: 0.0, then the running mass after each jump,
+    clamped at 1 one sum at a time."""
+    out = [0.0]
+    running = 0.0
+    for _, mass in F.jumps:
+        running = min(running + mass, 1.0)
+        out.append(running)
+    return out
+
+
+def left_limit_of_infimum_loop(family) -> Ddf:
+    """Reference `left_limit_of_infimum`: the least scalar value of the
+    members at each clustered knot's probe, one probe at a time, with the
+    jump list rebuilt from the level increases."""
+    fams = list(family)
+    reps = _cluster_representatives(sorted({loc for F in fams for loc, _ in F.jumps}))
+    jumps: list[tuple[float, float]] = []
+    prev = 0.0
+    for i, rep in enumerate(reps):
+        probe = (rep + reps[i + 1]) / 2.0 if i + 1 < len(reps) else rep + 1.0
+        v = min(F.eval(probe) for F in fams)
+        if v - prev > 0.0:
+            jumps.append((rep, v - prev))
+            prev = v
+    return Ddf(tuple(jumps))
+
+
 def ddf_pointwise_max(F: Ddf, G: Ddf) -> Ddf:
     """Pointwise maximum of two step d.d.f.s, rebuilt as a jump list.
     Guarantees F <= result and G <= result; used to manufacture ordered
@@ -121,8 +149,8 @@ def midpoint_scan_tau(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
         return Ddf(())
     sums = sorted({a + b for a, _ in F.jumps for b, _ in G.jumps})
     reps = _cluster_representatives(sums)
-    a_locs = [_fixed(a) for a in F._locs]
-    b_locs = [_fixed(b) for b in G._locs]
+    a_locs = [_fixed(a) for a, _ in F.jumps]
+    b_locs = [_fixed(b) for b, _ in G.jumps]
     jumps: list[tuple[float, float]] = []
     prev = 0.0
     for i, rep in enumerate(reps):
@@ -369,6 +397,7 @@ def hull_distances_pairwise(P, Q) -> np.ndarray:
         sides = np.stack([cross(b - a, P - a), cross(c - b, P - b), cross(a - c, P - c)])
         inside |= ((np.abs(area) > HULL_CROSS_SLACK)
                    & np.all(np.sign(area) * sides >= -HULL_CROSS_SLACK, axis=0))
+    inside &= np.all((Q.min(axis=1) <= P) & (P <= Q.max(axis=1)), axis=1)
     return np.where(inside, 0.0, nearest)
 
 

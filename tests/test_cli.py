@@ -186,6 +186,23 @@ class TestVerifyCommand:
         assert csv_text[0] == "scenario_id,t,psi_t,residual_t,dominance"
         assert len(csv_text) == 1 + 64
 
+    def test_output_option_moves_the_curves(self, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        path = write_config(tmp_path, {"output": "out/report.json",
+                                       "output_csv": "out/curves.csv"})
+        out_json = tmp_path / "dest" / "report.json"
+        assert main(["verify-t34", "--config", str(path), "--output", str(out_json)]) == 0
+        curves = out_json.with_suffix(".csv").read_bytes()
+        assert len(curves.splitlines()) == 1 + 64
+        assert not (work / "out").exists()
+        # Without --output the config's paths hold, relative to the
+        # working directory.
+        assert main(["verify-t34", "--config", str(path)]) == 0
+        assert (work / "out" / "report.json").read_bytes() == out_json.read_bytes()
+        assert (work / "out" / "curves.csv").read_bytes() == curves
+
     def test_scenario_batch(self, tmp_path):
         out_json = tmp_path / "batch.json"
         cfg = {"scenarios": {"count": 4, "pieces": [1, 4]}, "seed": 9,
@@ -326,6 +343,13 @@ class TestExitCodes:
         ("verify-t34", {"scenarios": {"count": 2, "values": [1.0, 0.0]}}, "values"),
         ("verify-t34", {"seed": -1}, "seed: must be nonnegative"),
         ("check-axioms", {"space": {"dimension": 10 ** 13}}, "MAX_SAMPLE_COORDS"),
+        # Grid counts checked at load: a step whose halving by the
+        # searches is too fine, and the default step on a wide domain.
+        ("fixpoint", {"schedules": {"grids": [2.0 ** -19]}},
+         "schedules.grids: grid step h=9.5367431640625e-07 needs 1048577 nodes"),
+        ("psi", {"map": {"domain": [0.0, 4096.0], "pieces": [
+            {"from": 0.0, "to": 4096.0, "closed": "left", "affine": [0.0, 1.0]}]}},
+         "schedules.grids: grid step h=0.0009765625 needs 4194305 nodes"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
@@ -360,6 +384,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "h=1e-07" in err and "10000001 nodes" in err
         assert "Traceback" not in err
+
+    def test_grid_count_checked_on_the_scenario_domain_only_for_piecewise_maps(self):
+        raw = {"scenarios": {"count": 1, "domain": [0.0, 4096.0]}, "seed": 1}
+        with pytest.raises(InvalidArgumentError, match="schedules.grids: .* 4194305 nodes"):
+            parse_config(raw)
+        # A sampled map has its lattice and no other grid.
+        m = SampledMap.from_function(lambda p: p, ((0.0, 1.0),), 0.25)
+        cfg = parse_config({"map": {"sampled": m.to_json_obj()},
+                            "schedules": {"grids": [1e-9]}})
+        assert cfg.grid_resolutions == (1e-9,)
 
     def test_config_validation_reports_field(self, tmp_path):
         path = write_config(tmp_path, {"map": {"domain": [0.0, 1.0], "pieces": [

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ddf_pointwise_max, dyadic_ddf, leq_witness_loop,
-                     pointwise_min_curve, sibley_scan)
+from helpers import (cums_loop, ddf_pointwise_max, dyadic_ddf,
+                     left_limit_of_infimum_loop, leq_witness_loop, pointwise_min_curve,
+                     sibley_scan)
 from pnkit import (Ddf, InvalidArgumentError, ddf_leq, ddf_leq_witness,
                    left_limit_of_infimum, make_epsilon, sibley_distance)
-from pnkit.ddf import comparison_probes
+from pnkit.ddf import VALUE_TOL, comparison_probes
 
 
 class TestConstruction:
@@ -109,6 +110,59 @@ class TestEval:
         xs = rng.uniform(0.0, 5.0, 100)
         many = F.eval_many(xs)
         assert all(many[i] == F.eval(x) for i, x in enumerate(xs))
+
+
+@st.composite
+def near_full_ddf(draw):
+    """Up to eight jumps whose masses sum to 1 give or take a few ulps,
+    or exceed 1 by up to VALUE_TOL, or fall well short of 1."""
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8))
+    total = draw(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + 5e-13, 1.0 + VALUE_TOL, 0.75]))
+    locs = draw(st.lists(st.floats(0.0, 4.0), min_size=len(raw), max_size=len(raw)))
+    masses = [m / math.fsum(raw) * total for m in raw]
+    try:
+        return Ddf(tuple(zip(locs, masses)))
+    except InvalidArgumentError:  # rounding took the total past the tolerance
+        return Ddf(tuple(zip(locs, [m / 2 for m in masses])))
+
+
+class TestArrays:
+    """The two arrays built at construction: `_cums` is the running mass
+    clamped one sum at a time, bit for bit, and `eval` reads the same
+    arrays as `eval_many`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(F=near_full_ddf())
+    def test_cums_match_the_sequential_clamp(self, F):
+        assert F._cums.tobytes() == np.array(cums_loop(F)).tobytes()
+        assert F._locs.tolist() == [loc for loc, _ in F.jumps]
+
+    def test_cums_clamp_a_total_mass_within_the_tolerance_above_one(self):
+        F = Ddf(((0.5, 0.5), (1.0, 0.25), (2.0, 0.25 + 0.5 * VALUE_TOL)))
+        assert math.fsum(m for _, m in F.jumps) > 1.0
+        assert F._cums.tolist() == cums_loop(F) == [0.0, 0.5, 0.75, 1.0]
+        assert F.total_mass == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(F=near_full_ddf())
+    def test_eval_reads_the_arrays_of_eval_many(self, F):
+        xs = [0.0]
+        for loc, _ in F.jumps:
+            xs += [loc, float(np.nextafter(loc, 0.0)), max(loc - 1e-12, 0.0), loc + 1e-12]
+        for x in xs:
+            assert F.eval(x) == F.eval_many(np.array([x]))[0]
+        # At +inf eval reads 1 by convention, eval_many the finite mass:
+        # the two agree for a function of full mass.
+        assert F.eval(math.inf) == 1.0
+        assert F.eval_many(np.array([math.inf]))[0] == F.total_mass
+
+    def test_arrays_reject_writes(self):
+        F = Ddf(((0.5, 0.5), (1.0, 0.5)))
+        with pytest.raises(ValueError):
+            F._locs[0] = 2.0
+        with pytest.raises(ValueError):
+            F._cums[-1] = 0.5
+        assert F.eval(0.75) == 0.5 and F.eval(2.0) == 1.0
 
 
 class TestOrdering:
@@ -264,6 +318,42 @@ class TestKnotClustering:
         xs = np.linspace(0.0, 2e-9, 20001)
         dense_min = pointwise_min_curve([self.F, self.G], xs)
         assert np.max(np.abs(low.eval_many(xs) - dense_min)) <= 1e-3 + 1e-12
+
+
+@st.composite
+def near_tolerance_family(draw):
+    """One to four members whose knots lie on a lattice of step near the
+    merge tolerance, so clusters chain across members: the alternating
+    0.9e-12 pattern among them."""
+    step = draw(st.sampled_from([0.5e-12, 0.9e-12, 1e-12, 1.1e-12]))
+    base = draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True))
+        mass = draw(st.sampled_from([1.0, 0.75])) / len(ks)
+        family.append(Ddf(tuple((base + k * step, mass) for k in ks)))
+    return family
+
+
+class TestClusteredRebuild:
+    """`left_limit_of_infimum`, which evaluates each member once over all
+    its probes, gives the probe-by-probe loop's jump list exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=near_tolerance_family())
+    def test_infimum_matches_the_probe_loop(self, family):
+        assert left_limit_of_infimum(family).jumps == left_limit_of_infimum_loop(family).jumps
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 4))
+    def test_infimum_matches_the_probe_loop_on_dyadic_families(self, seed, size):
+        rng = np.random.default_rng(seed)
+        family = [dyadic_ddf(rng) for _ in range(size)]
+        assert left_limit_of_infimum(family).jumps == left_limit_of_infimum_loop(family).jumps
+
+    def test_alternating_pattern(self):
+        F, G = TestKnotClustering.F, TestKnotClustering.G
+        assert left_limit_of_infimum([F, G]).jumps == left_limit_of_infimum_loop([F, G]).jumps
 
 
 class TestSerialization:
