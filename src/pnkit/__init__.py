@@ -22,13 +22,12 @@ from .neighborhoods import (ContinuityReport, PairwiseReport, PointSet,
                             prob_diameter, strong_t_continuity_test)
 from .pn_space import (AxiomReport, PnSpace, Vector, check_axioms, prob_norm,
                        random_vector_pairs)
-from .tnorms import (TNormAxiomReport, TNormKind, TriangleFn,
-                     check_tnorm_axioms, tau_apply, tnorm_apply)
+from .tnorms import TNormAxiomReport, TNormKind, check_tnorm_axioms, tau_apply, tnorm_apply
 
 __all__ = [
     "Ddf", "ddf_leq", "ddf_leq_witness", "left_limit_of_infimum",
     "make_epsilon", "sibley_distance",
-    "TNormKind", "TriangleFn", "TNormAxiomReport", "tnorm_apply", "tau_apply",
+    "TNormKind", "TNormAxiomReport", "tnorm_apply", "tau_apply",
     "check_tnorm_axioms",
     "PnSpace", "Vector", "AxiomReport", "prob_norm", "check_axioms",
     "random_vector_pairs",

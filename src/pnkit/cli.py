@@ -27,14 +27,15 @@ import numpy as np
 
 from .ddf import Ddf, make_epsilon, sibley_distance
 from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_T_GRID,
-                      MAX_GRID_NODES, Piece, PiecewiseMap1D, SampledMap, _validate_ascending,
-                      _validate_descending, discontinuity_estimate, discontinuity_exact,
-                      discontinuity_measure, grid_node_count, lattice_nodes)
+                      MAX_GRID_NODES, Piece, PiecewiseMap1D, SampledMap, _exact_route,
+                      _validate_ascending, _validate_descending, compare_discontinuity_routes,
+                      discontinuity_estimate, discontinuity_exact, grid_node_count,
+                      lattice_nodes)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import MAX_REFINEMENTS, VerifyResult, verify_approx_fixed_point
 from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
                             strong_t_continuity_test)
-from .pn_space import PnSpace, check_axioms, random_vector_pairs
+from .pn_space import DEFAULT_LAMBDAS, PnSpace, check_axioms, random_vector_pairs
 from .tnorms import TNormKind, tau_apply
 
 MIN_BREAK_SEPARATION = 0.01
@@ -356,7 +357,7 @@ def cmd_check_axioms(args) -> int:
     raw = cfg.raw
     seed = cfg.seed if cfg.seed is not None else 0
     lambdas = _convert("lambdas", lambda xs: tuple(float(x) for x in xs),
-                       raw.get("lambdas", [k / 10.0 for k in range(11)]))
+                       raw.get("lambdas", DEFAULT_LAMBDAS))
     pairs = _convert("pairs", lambda n: random_vector_pairs(cfg.space.dimension, int(n), seed),
                      raw.get("pairs", 200))
     report = check_axioms(cfg.space, pairs, lambdas)
@@ -411,15 +412,12 @@ def cmd_psi(args) -> int:
     out: dict = {}
     if args.route == "exact":
         out["exact"] = discontinuity_exact(cfg.space, cfg.map).to_json_obj()
-    elif args.route == "estimate":
+    elif args.route == "both" and _exact_route(cfg.space, cfg.map):
+        routes = compare_discontinuity_routes(cfg.space, cfg.map, **schedules)
+        out.update(exact=routes.exact.to_json_obj(), estimate=routes.estimate.to_json_obj(),
+                   sibley_distance=routes.distance)
+    else:  # the estimate alone, also for --route both where no exact route applies
         out["estimate"] = discontinuity_estimate(cfg.space, cfg.map, **schedules).to_json_obj()
-    else:
-        psi, est = discontinuity_measure(cfg.space, cfg.map, **schedules)
-        if est is None:
-            est = discontinuity_estimate(cfg.space, cfg.map, **schedules)
-            out["exact"] = psi.to_json_obj()
-            out["sibley_distance"] = sibley_distance(est.ddf, psi)
-        out["estimate"] = est.to_json_obj()
     _print_json(out)
     return 0
 
@@ -557,10 +555,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 3
-    except (InvalidArgumentError, PnkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PnkitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

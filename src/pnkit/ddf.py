@@ -56,24 +56,19 @@ GENERATOR_MASS_TOL = 1e-9
 # be a search candidate, clamped onto the piece.
 FIXED_POINT_SLACK = 1e-12
 
-# How far outside a planar hull edge, by its cross product, a point in the
-# bounding box of the hull's points may lie and still count as inside it.
-HULL_CROSS_SLACK = 1e-12
-
 # How much farther than the nearest limit value, per unit of coordinate
 # size, a point's distance to the bounding box of its limit values must be
 # before the hull search skips measuring its hull distance.
 HULL_PRUNE_SLACK = 1e-9
 
 
-def _cluster_representatives(sorted_vals: Sequence[float],
-                             tol: float = KNOT_MERGE_TOL) -> list[float]:
+def _cluster_representatives(sorted_vals: Sequence[float]) -> list[float]:
     """Collapse sorted values into clusters, each holding the values
-    within `tol` of its smallest one (its head), and return the heads:
-    the same rule `_canonical_jumps` merges knots by."""
+    within KNOT_MERGE_TOL of its smallest one (its head), and return the
+    heads: the same rule `_canonical_jumps` merges knots by."""
     reps: list[float] = []
     for v in sorted_vals:
-        if not reps or v - reps[-1] > tol:
+        if not reps or v - reps[-1] > KNOT_MERGE_TOL:
             reps.append(v)
     return reps
 

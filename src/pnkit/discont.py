@@ -46,9 +46,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_CROSS_SLACK, HULL_PRUNE_SLACK,
-                  LIMIT_MERGE_TOL, MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf,
-                  sibley_distance)
+from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_PRUNE_SLACK, LIMIT_MERGE_TOL,
+                  MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
 from .errors import InvalidArgumentError, PnkitError
 from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
 
@@ -397,19 +396,19 @@ def _planar_hull_block(px, py, x, y) -> np.ndarray:
     s = np.clip(dot / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
     nearest = np.minimum(_norms(px - x[0], py - y[0]),
                          np.min(_norms(apx - s * abx, apy - s * aby), axis=0, initial=np.inf))
-    inside = np.any((len2 > 0.0) & (np.abs(abx * apy - aby * apx) <= HULL_CROSS_SLACK)
+    inside = np.any((len2 > 0.0) & (abx * apy - aby * apx == 0.0)
                     & (dot >= 0.0) & (dot <= len2), axis=0)
     x0, y0, bx, by, cx, cy = x[0], y[0], x[b], y[b], x[c], y[c]
     area = (bx - x0) * (cy - y0) - (by - y0) * (cx - x0)
     sign = np.sign(area)
-    # A triangle of doubled area within the slack counts by its sides alone.
-    holds = np.abs(area) > HULL_CROSS_SLACK
+    # A degenerate triangle counts by its segments alone.
+    holds = area != 0.0
     for ux, uy, vx, vy in ((bx - x0, by - y0, px - x0, py - y0),
                            (cx - bx, cy - by, px - bx, py - by),
                            (x0 - cx, y0 - cy, px - cx, py - cy)):
-        holds &= sign * (ux * vy - uy * vx) >= -HULL_CROSS_SLACK
+        holds &= sign * (ux * vy - uy * vx) >= 0.0
     # The hull lies in the bounding box of its points, and these float
-    # comparisons are exact: the slack never takes in a point outside it.
+    # comparisons are exact: no rounded sign takes in a point outside it.
     in_box = ((x.min(axis=0) <= px) & (px <= x.max(axis=0))
               & (y.min(axis=0) <= py) & (py <= y.max(axis=0)))
     return np.where(in_box & (inside | np.any(holds, axis=0)), 0.0, nearest)
@@ -427,10 +426,11 @@ def hull_distances(P, Q) -> np.ndarray:
     in 1-d.  In 2-d, 0 when p lies in the bounding box of the points and
     on a segment between two of them or in a triangle of the first point
     and two others (these cover the hull, star-shaped about that point),
-    up to HULL_CROSS_SLACK on each cross product; else the least distance
-    to such a segment, exact as the hull edges are among them.  Every
-    segment and fan triangle of a row is measured at once,
-    HULL_BLOCK_ROWS rows at a time."""
+    by the signs of the computed cross products; else the least distance
+    to such a segment, exact as the hull edges are among them.  Where a
+    cross product rounds to the wrong sign, the result is off by at most
+    that rounding.  Every segment and fan triangle of a row is measured
+    at once, HULL_BLOCK_ROWS rows at a time."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape[-1] == 1:
         x, lo, hi = P[:, 0], np.min(Q[..., 0], axis=1), np.max(Q[..., 0], axis=1)
@@ -587,6 +587,11 @@ def map_eval_vec(m, p) -> Vector:
     return tuple(m.eval_points([as_vector(p, m.dim)])[0].tolist())
 
 
+def _exact_route(space: PnSpace, m) -> bool:
+    """Whether the exact measure applies: a piecewise map in a 1-d space."""
+    return isinstance(m, PiecewiseMap1D) and space.dimension == 1
+
+
 def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
     """Exact measure of discontinuity of a 1-d piecewise-affine map.
 
@@ -595,7 +600,7 @@ def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
     the norm profiles of f(b) minus each one-sided limit: the profile of
     the largest gap, exactly, for any generator.
     """
-    if space.dimension != 1 or not isinstance(pw, PiecewiseMap1D):
+    if not _exact_route(space, pw):
         raise InvalidArgumentError("exact route needs a piecewise map in a 1-d space")
     bs = pw._breaks_np[:, None]
     gaps = np.abs(pw.eval_points(bs)[:, None, :] - pw.limit_values(bs))
@@ -755,7 +760,7 @@ def discontinuity_measure(space: PnSpace, m, *,
     """The discontinuity measure by the best available route:
     (exact measure, None) for a piecewise map in a 1-d space, else
     (estimate.ddf, estimate) from the grid estimator."""
-    if isinstance(m, PiecewiseMap1D) and space.dimension == 1:
+    if _exact_route(space, m):
         return discontinuity_exact(space, m), None
     est = discontinuity_estimate(space, m, delta_schedule=delta_schedule,
                                  grid_resolutions=grid_resolutions, t_grid=t_grid)

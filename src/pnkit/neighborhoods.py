@@ -30,6 +30,7 @@ from .ddf import Ddf, left_limit_of_infimum
 from .discont import PiecewiseMap1D, _validate_descending, lattice_nodes
 from .errors import InvalidArgumentError
 from .pn_space import PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norms
+from .tnorms import TNormKind
 
 # Largest probe lattice of the continuity scan, and largest work array:
 # each sample point holds a (threshold levels x probe lattice points x
@@ -109,9 +110,9 @@ class ContinuityReport:
                 "pass": self.passed}
 
 
-def default_tprime_schedule(t: float, levels: int = 21) -> tuple[float, ...]:
-    """Descending geometric schedule t, t/2, ..., t / 2^(levels-1)."""
-    return tuple(t * 2.0 ** -k for k in range(levels))
+def default_tprime_schedule(t: float) -> tuple[float, ...]:
+    """Descending geometric schedule of 21 levels t, t/2, ..., t / 2^20."""
+    return tuple(t * 2.0 ** -k for k in range(21))
 
 
 def _probe_shape(space: PnSpace, m, levels: int, budget: int, name: str) -> tuple[int, ...]:
@@ -230,9 +231,7 @@ def check_pairwise_image_separation(space: PnSpace, m, pairs: Sequence[tuple], t
     was certified at a different threshold) is rejected before any pair
     is checked.
     """
-    from .tnorms import TNormKind
-
-    if space.tau.kind is not TNormKind.M:
+    if space.tau is not TNormKind.M:
         raise InvalidArgumentError("pairwise separation requires the minimum t-norm on tau")
     t = float(t)
     if not (t > 0.0):

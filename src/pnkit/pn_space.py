@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ddf import GENERATOR_MASS_TOL, VALUE_TOL, Ddf, ddf_leq_witness, make_epsilon
 from .errors import InvalidArgumentError
-from .tnorms import TNormKind, TriangleFn, tau_apply
+from .tnorms import TNormKind, tau_apply
 
 Vector = tuple[float, ...]
 
@@ -88,8 +89,8 @@ class PnSpace:
 
     dimension: int
     generator: Ddf = field(default_factory=lambda: make_epsilon(1.0))
-    tau: TriangleFn = field(default_factory=lambda: TriangleFn(TNormKind.M))
-    tau_star: TriangleFn = field(default_factory=lambda: TriangleFn(TNormKind.M))
+    tau: TNormKind = TNormKind.M
+    tau_star: TNormKind = TNormKind.M
 
     def __post_init__(self):
         if (not isinstance(self.dimension, (int, float))
@@ -106,8 +107,8 @@ class PnSpace:
         return {
             "dimension": self.dimension,
             "generator": self.generator.to_json_obj(),
-            "tau": self.tau.kind.value,
-            "tau_star": self.tau_star.kind.value,
+            "tau": self.tau.value,
+            "tau_star": self.tau_star.value,
         }
 
     @classmethod
@@ -117,8 +118,8 @@ class PnSpace:
         dim = obj.get("dimension", 1)
         gen = Ddf.from_json_obj(obj["generator"]) if "generator" in obj else make_epsilon(1.0)
         try:
-            tau = TriangleFn(TNormKind(obj.get("tau", "M")))
-            tau_star = TriangleFn(TNormKind(obj.get("tau_star", "M")))
+            tau = TNormKind(obj.get("tau", "M"))
+            tau_star = TNormKind(obj.get("tau_star", "M"))
         except ValueError as exc:
             raise InvalidArgumentError(f"unknown t-norm tag in space spec: {exc}") from exc
         return cls(dimension=dim, generator=gen, tau=tau, tau_star=tau_star)
@@ -220,40 +221,32 @@ def check_axioms(space: PnSpace,
             break
     n2 = AxiomResult("N2", n2_worst is None, len(vectors), n2_worst)
 
-    # N3: triangle dominance for each sampled pair.
-    n3_worst = None
-    n3_gap = -math.inf
-    for p, q in pairs:
-        lhs = tau_apply(space.tau.kind, prob_norm(space, p), prob_norm(space, q))
-        gap, x = ddf_leq_witness(lhs, prob_norm(space, p + q))
-        if gap > n3_gap:
-            n3_gap = gap
-            n3_worst = {"p": p.tolist(), "q": q.tolist(), "x": x, "gap": gap}
-    n3 = AxiomResult("N3", n3_gap <= VALUE_TOL, len(pairs),
-                     None if n3_gap <= VALUE_TOL else n3_worst)
-
-    # N4: convexity-style upper bound over the scalar grid.
-    n4_worst = None
-    n4_gap = -math.inf
-    n4_checked = 0
-    for v in vectors:
-        nu_v = prob_norm(space, v)
-        for lam in lambdas:
-            rhs = tau_apply(space.tau_star.kind,
-                            prob_norm(space, lam * v),
-                            prob_norm(space, (1.0 - lam) * v))
-            gap, x = ddf_leq_witness(nu_v, rhs)
-            n4_checked += 1
-            if gap > n4_gap:
-                n4_gap = gap
-                n4_worst = {"p": v.tolist(), "lambda": lam, "x": x, "gap": gap}
-    n4 = AxiomResult("N4", n4_gap <= VALUE_TOL, n4_checked,
-                     None if n4_gap <= VALUE_TOL else n4_worst)
-
+    norm = partial(prob_norm, space)
+    # N3: the profile of a sum dominates tau of the profiles.
+    n3 = _dominance("N3", ((tau_apply(space.tau, norm(p), norm(q)), norm(p + q),
+                            {"p": p.tolist(), "q": q.tolist()}) for p, q in pairs))
+    # N4: the profile of v is dominated by tau* of its lambda split.
+    n4 = _dominance("N4", ((nu_v, tau_apply(space.tau_star, norm(lam * v), norm((1.0 - lam) * v)),
+                            {"p": v.tolist(), "lambda": lam})
+                           for v, nu_v in zip(vectors, map(norm, vectors)) for lam in lambdas))
     return AxiomReport((n1, n2, n3, n4))
 
 
-def random_vector_pairs(dim: int, count: int, seed: int, scale: float = 1.0) -> np.ndarray:
+def _dominance(axiom: str, cases: Iterable[tuple[Ddf, Ddf, dict]]) -> AxiomResult:
+    """An axiom of the form F <= G over `cases` of (F, G, where): it
+    fails when the largest gap passes VALUE_TOL, and then reports the
+    first case of that gap, its `where` with the probe x and the gap."""
+    worst_gap, worst, checked = -math.inf, None, 0
+    for F, G, where in cases:
+        gap, x = ddf_leq_witness(F, G)
+        checked += 1
+        if gap > worst_gap:
+            worst_gap, worst = gap, dict(where, x=x, gap=gap)
+    passed = worst_gap <= VALUE_TOL
+    return AxiomResult(axiom, passed, checked, None if passed else worst)
+
+
+def random_vector_pairs(dim: int, count: int, seed: int) -> np.ndarray:
     """Seeded standard-normal vector pairs for sample-based checks, as a
     (count, 2, dim) array."""
     if not 1 <= count <= MAX_SAMPLE_PAIRS:
@@ -262,4 +255,4 @@ def random_vector_pairs(dim: int, count: int, seed: int, scale: float = 1.0) -> 
         raise InvalidArgumentError(
             f"{count} pairs in dimension {dim} need more than "
             f"MAX_SAMPLE_COORDS={MAX_SAMPLE_COORDS} coordinates")
-    return np.random.default_rng(seed).standard_normal((count, 2, dim)) * scale
+    return np.random.default_rng(seed).standard_normal((count, 2, dim))

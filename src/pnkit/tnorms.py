@@ -63,21 +63,6 @@ def tnorm_apply_np(kind: TNormKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise InvalidArgumentError(f"unknown t-norm kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class TriangleFn:
-    """The triangle function induced by a t-norm.
-
-    Commutativity, monotonicity, and the identity at the unit step at 0
-    are consequences of the t-norm axioms; the test suite checks them
-    rather than assuming them.
-    """
-
-    kind: TNormKind
-
-    def __call__(self, F: Ddf, G: Ddf) -> Ddf:
-        return tau_apply(self.kind, F, G)
-
-
 def tau_apply(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
     """Exact sup-convolution of two step d.d.f.s under the given t-norm.
 
@@ -129,7 +114,7 @@ class TNormAxiomReport:
     monotonicity: float
     identity: float
     samples: int
-    tolerance: float = VALUE_TOL
+    tolerance = VALUE_TOL  # a class constant, not a field
 
     @property
     def passed(self) -> bool:

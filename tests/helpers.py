@@ -12,6 +12,7 @@ internals (dense grids, direct scans) and are deliberately slow.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
@@ -20,14 +21,14 @@ import numpy as np
 
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, TheoremViolationError,
                    prob_norm)
-from pnkit.ddf import (HULL_CROSS_SLACK, LIMIT_MERGE_TOL, _cluster_representatives,
-                       comparison_probes)
+from pnkit.ddf import (LIMIT_MERGE_TOL, VALUE_TOL, _cluster_representatives, comparison_probes,
+                       ddf_leq_witness)
 from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
 from pnkit.fixpoint import MAX_REFINEMENTS, KakutaniResult
 from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_shape,
                                  default_tprime_schedule)
-from pnkit.pn_space import profile_at, vec_norm, vec_norms
-from pnkit.tnorms import TNormAxiomReport, TNormKind, tnorm_apply, tnorm_apply_np
+from pnkit.pn_space import AxiomResult, profile_at, vec_norm, vec_norms
+from pnkit.tnorms import TNormAxiomReport, TNormKind, tau_apply, tnorm_apply, tnorm_apply_np
 
 
 def dyadic_ddf(rng: np.random.Generator, max_jumps: int = 6,
@@ -388,15 +389,13 @@ def hull_distances_pairwise(P, Q) -> np.ndarray:
         len2, dot = np.sum(ab * ab, axis=1), np.sum(ap * ab, axis=1)
         s = np.clip(dot / np.where(len2 > 0.0, len2, 1.0), 0.0, 1.0)
         nearest = np.minimum(nearest, vec_norms(ap - s[:, None] * ab))
-        inside |= ((len2 > 0.0) & (np.abs(cross(ab, ap)) <= HULL_CROSS_SLACK)
-                   & (dot >= 0.0) & (dot <= len2))
+        inside |= (len2 > 0.0) & (cross(ab, ap) == 0.0) & (dot >= 0.0) & (dot <= len2)
     a = Q[:, 0]
     for i, j in combinations(range(1, Q.shape[1]), 2):
         b, c = Q[:, i], Q[:, j]
         area = cross(b - a, c - a)
         sides = np.stack([cross(b - a, P - a), cross(c - b, P - b), cross(a - c, P - c)])
-        inside |= ((np.abs(area) > HULL_CROSS_SLACK)
-                   & np.all(np.sign(area) * sides >= -HULL_CROSS_SLACK, axis=0))
+        inside |= (area != 0.0) & np.all(np.sign(area) * sides >= 0.0, axis=0)
     inside &= np.all((Q.min(axis=1) <= P) & (P <= Q.max(axis=1)), axis=1)
     return np.where(inside, 0.0, nearest)
 
@@ -420,3 +419,37 @@ def tnorm_axioms_loop(kind: TNormKind, samples) -> dict:
         n += 1
     return TNormAxiomReport(kind=kind, commutativity=comm, associativity=assoc,
                             monotonicity=mono, identity=ident, samples=n).to_json_obj()
+
+
+def dominance_loops(space, samples, lambdas) -> tuple[dict, dict]:
+    """`pn_space.check_axioms`' N3 and N4 results, as JSON objects, from
+    one hand-written worst-case loop each: the N3 loop over the sample
+    pairs, the N4 loop over the distinct sample vectors and `lambdas`."""
+    dim = space.dimension
+    pairs = np.asarray(samples, dtype=float)
+    vectors = np.array(list(dict.fromkeys(map(tuple, pairs.reshape(-1, dim).tolist()))))
+
+    n3_worst, n3_gap = None, -math.inf
+    for p, q in pairs:
+        lhs = tau_apply(space.tau, prob_norm(space, p), prob_norm(space, q))
+        gap, x = ddf_leq_witness(lhs, prob_norm(space, p + q))
+        if gap > n3_gap:
+            n3_gap = gap
+            n3_worst = {"p": p.tolist(), "q": q.tolist(), "x": x, "gap": gap}
+    n3 = AxiomResult("N3", n3_gap <= VALUE_TOL, len(pairs),
+                     None if n3_gap <= VALUE_TOL else n3_worst)
+
+    n4_worst, n4_gap, n4_checked = None, -math.inf, 0
+    for v in vectors:
+        nu_v = prob_norm(space, v)
+        for lam in lambdas:
+            rhs = tau_apply(space.tau_star, prob_norm(space, lam * v),
+                            prob_norm(space, (1.0 - lam) * v))
+            gap, x = ddf_leq_witness(nu_v, rhs)
+            n4_checked += 1
+            if gap > n4_gap:
+                n4_gap = gap
+                n4_worst = {"p": v.tolist(), "lambda": lam, "x": x, "gap": gap}
+    n4 = AxiomResult("N4", n4_gap <= VALUE_TOL, n4_checked,
+                     None if n4_gap <= VALUE_TOL else n4_worst)
+    return n3.to_json_obj(), n4.to_json_obj()

@@ -198,8 +198,8 @@ class TestHullDistances:
         if contained:
             assert got == 0.0
         elif got == 0.0:
-            # Counted as inside by the cross-product slack only.
-            assert dist <= 1e-9 + err
+            # Counted as inside by a cross product that rounded to 0.
+            assert dist <= 1e-15 + err
         else:
             assert dist - err - 1e-15 <= got <= dist + 1e-15
 
@@ -357,12 +357,10 @@ class TestNearestToHull:
         assert got[0] == pytest.approx(true, rel=1e-12) and got[1] == 0.0
         assert self.check(np.array(P), np.array(Q)) == (1, 0.0)
 
-    @pytest.mark.xfail(strict=True, reason="the cross-product slack still takes in a point "
-                                            "inside the bounding box, far from a needle")
     def test_needle_slack_inside_the_bounding_box(self):
         # The needle above with a fourth point (2, 5): the box now holds
         # (1.2, 0), whose true distance is 1 / sqrt(26) from the edge
-        # (1, 0)-(2, 5), but the needle's sides count it inside.
+        # (1, 0)-(2, 5); the needle's sides must not count it inside.
         p, pts = (1.2, 0.0), [(0.0, 0.0), (1.0, 0.0), (0.5, 4e-12), (2.0, 5.0)]
         contained, dist, err = planar_hull_oracle(p, pts)
         assert not contained and dist - err - 1e-15 <= 1.0 / math.sqrt(26.0) <= dist + 1e-15

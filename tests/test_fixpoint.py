@@ -264,3 +264,18 @@ class TestEndToEnd:
         assert r.fixpoint.psi.jumps == discontinuity_exact(unit_space, jump_map()).jumps
         assert r.kakutani == kakutani_search(jump_map(), H)
         assert r.to_json_obj()["chain"]["holds"] is r.chain_holds is True
+
+    @pytest.mark.xfail(strict=True, raises=TheoremViolationError,
+                       reason="the dominance search scans the lattice nodes only")
+    def test_sampled_fixed_point_between_nodes_is_found(self):
+        # Every node maps to (0.2125, 0.5125) or (0.2225, 0.5125): the
+        # estimate jumps at 0.01, and the best node, (0.2, 0.5), is 0.0177
+        # from its image.  Yet (0.2125, 0.5125) snaps to that node, so it is
+        # a fixed point of the map that eval_points evaluates.
+        m = SampledMap.from_function(
+            lambda p: (0.2125, 0.5125) if p[0] < 0.5 else (0.2225, 0.5125),
+            ((0.0, 1.0), (0.0, 1.0)), 0.05)
+        fixed = np.array([[0.2125, 0.5125]])
+        assert np.array_equal(m.eval_points(fixed), fixed)
+        r = verify_approx_fixed_point(PnSpace(dimension=2), m, grid_resolutions=(0.05,))
+        assert r.fixpoint.dominance

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import continuity_scan_oracle, dyadic_ddf, pointwise_min_curve
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, Piece, PnSpace,
-                   PointSet, TNormKind, TriangleFn,
+                   PointSet, TNormKind,
                    check_pairwise_image_separation, constant_map, ddf_leq,
                    default_tprime_schedule, in_strong_neighborhood,
                    make_epsilon, prob_diameter, prob_norm,
@@ -206,7 +206,7 @@ class TestPairwiseSeparation:
         assert out.checked == 2
 
     def test_requires_minimum_tnorm(self):
-        sp = PnSpace(dimension=1, tau=TriangleFn(TNormKind.W))
+        sp = PnSpace(dimension=1, tau=TNormKind.W)
         m = constant_map((0.0, 1.0), 0.1)
         report = strong_t_continuity_test(
             PnSpace(dimension=1), m, PointSet(((0.5,),)), t=0.5)

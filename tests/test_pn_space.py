@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pnkit import (Ddf, InvalidArgumentError, PnSpace, TNormKind, TriangleFn,
+from pnkit import (Ddf, InvalidArgumentError, PnSpace, TNormKind,
                    check_axioms, make_epsilon, prob_norm, random_vector_pairs)
 from pnkit.pn_space import profile_at, vec_norm, vec_norms
+
+from helpers import dominance_loops
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -28,7 +30,7 @@ class TestConstruction:
     def test_default_space(self):
         sp = PnSpace(dimension=1)
         assert sp.generator.jumps == make_epsilon(1.0).jumps
-        assert sp.tau.kind is TNormKind.M
+        assert sp.tau is TNormKind.M
 
     def test_rejects_partial_mass_generator(self):
         with pytest.raises(InvalidArgumentError):
@@ -44,9 +46,16 @@ class TestConstruction:
 
     def test_json_roundtrip(self):
         sp = PnSpace(dimension=3, generator=Ddf(((0.5, 0.25), (1.5, 0.75))),
-                     tau=TriangleFn(TNormKind.PROD), tau_star=TriangleFn(TNormKind.M))
+                     tau=TNormKind.PROD, tau_star=TNormKind.M)
         back = PnSpace.from_json_obj(sp.to_json_obj())
         assert back == sp
+
+    def test_tau_holds_the_tnorm_kind(self):
+        sp = PnSpace(dimension=1, tau=TNormKind.W)
+        assert sp.tau is TNormKind.W and sp.tau_star is TNormKind.M
+        assert sp.to_json_obj()["tau"] == "W"
+        back = PnSpace.from_json_obj(sp.to_json_obj())
+        assert back == sp and back.tau is TNormKind.W
 
 
 class TestProbNorm:
@@ -155,7 +164,7 @@ class TestAxiomChecker:
         # the profile itself.
         gen = Ddf(((1.0, 0.5), (2.0, 0.5)))
         sp = PnSpace(dimension=1, generator=gen,
-                     tau=TriangleFn(TNormKind.M), tau_star=TriangleFn(TNormKind.W))
+                     tau=TNormKind.M, tau_star=TNormKind.W)
         report = check_axioms(sp, random_vector_pairs(1, 20, seed=17),
                               lambdas=(0.0, 0.5, 1.0))
         assert report["N3"].passed
@@ -177,6 +186,36 @@ class TestAxiomChecker:
             assert lhs.jumps[0][0] == pytest.approx(norm_sum, rel=1e-12)
             sum_norm = prob_norm(sp, (p[0] + q[0], p[1] + q[1])).jumps[0][0]
             assert sum_norm <= norm_sum + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(gen=generators(), dim=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           tau=st.sampled_from(TNormKind), count=st.integers(1, 4))
+    def test_dominance_matches_the_loops_on_passing_spaces(self, gen, dim, seed, tau, count):
+        # tau* = M: a shorter vector has a larger profile, so N4 holds.
+        sp = PnSpace(dimension=dim, generator=gen, tau=tau)
+        pairs = random_vector_pairs(dim, count, seed)
+        report = check_axioms(sp, pairs, (0.0, 0.3, 0.5, 1.0))
+        assert report["N3"].passed and report["N4"].passed
+        n3, n4 = dominance_loops(sp, pairs, (0.0, 0.3, 0.5, 1.0))
+        assert report["N3"].to_json_obj() == n3 and report["N4"].to_json_obj() == n4
+
+    @settings(max_examples=40, deadline=None)
+    @given(locs=st.lists(st.integers(1, 64), min_size=2, max_size=2, unique=True),
+           weight=st.integers(1, 15), dim=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
+           tau=st.sampled_from(TNormKind), count=st.integers(1, 4),
+           lambdas=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.7, 1.0]), max_size=3))
+    def test_dominance_matches_the_loops_where_n4_fails(self, locs, weight, dim, seed, tau,
+                                                        count, lambdas):
+        # A two-step generator under tau* = W fails N4 at lambda = 0.5:
+        # W drops the cross terms of the half-length profiles.
+        gen = Ddf(tuple((loc / 16.0, m) for loc, m in zip(locs, (weight / 16.0, 1 - weight / 16.0))))
+        sp = PnSpace(dimension=dim, generator=gen, tau=tau, tau_star=TNormKind.W)
+        pairs = random_vector_pairs(dim, count, seed)
+        lams = (*lambdas, 0.5)
+        report = check_axioms(sp, pairs, lams)
+        assert not report["N4"].passed
+        n3, n4 = dominance_loops(sp, pairs, lams)
+        assert report["N3"].to_json_obj() == n3 and report["N4"].to_json_obj() == n4
 
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidArgumentError):
