@@ -49,7 +49,7 @@ import numpy as np
 from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_PRUNE_SLACK, LIMIT_MERGE_TOL,
                   MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
 from .errors import InvalidArgumentError, PnkitError
-from .pn_space import PnSpace, Vector, as_vector, norm_profile, profile_at, vec_norms
+from .pn_space import PnSpace, Vector, as_vector, in_neighborhood, norm_profile, vec_norms
 
 # Largest node count of a grid of step h; a finer grid is refused before
 # anything is allocated.
@@ -644,26 +644,29 @@ class DiscontinuityEstimate:
         }
 
 
-def _validate_positive(name: str, values: Iterable[float]) -> tuple[float, ...]:
+def _validate_positive(name: str, values: Iterable[float]) -> tuple[tuple[float, ...], np.ndarray]:
+    """`values` as a tuple of floats and as an array, refused unless they
+    are nonempty, positive and finite."""
     vals = tuple(map(float, values))
     if not vals:
         raise InvalidArgumentError(f"{name} must be nonempty")
-    if not all(0.0 < v < math.inf for v in vals):  # NaN fails too
+    arr = np.fromiter(vals, float, len(vals))
+    if not (arr.min() > 0.0 and arr.max() < math.inf):  # NaN fails too
         raise InvalidArgumentError(f"{name} entries must be positive and finite")
-    return vals
+    return vals, arr
 
 
 def _validate_descending(name: str, values: Iterable[float]) -> tuple[float, ...]:
-    vals = _validate_positive(name, values)
-    if not all(a > b for a, b in zip(vals, vals[1:])):
+    vals, arr = _validate_positive(name, values)
+    if not (arr[:-1] > arr[1:]).all():
         raise InvalidArgumentError(f"{name} must be strictly descending")
     return vals
 
 
 def _validate_ascending(name: str, values: Iterable[float]) -> tuple[float, ...]:
     """The t-grid rule: nonempty, positive, finite and strictly ascending."""
-    vals = _validate_positive(name, values)
-    if not all(a < b for a, b in zip(vals, vals[1:])):
+    vals, arr = _validate_positive(name, values)
+    if not (arr[:-1] < arr[1:]).all():
         raise InvalidArgumentError(f"{name} must be strictly ascending")
     return vals
 
@@ -679,7 +682,7 @@ def _largest_gaps(space: PnSpace, images: np.ndarray, step: float,
     # zero offset in the middle: keep the half after it.
     offsets = offsets[len(offsets) // 2 + 1:].astype(np.intp)
     r = step * vec_norms(offsets)
-    admitted = np.array([profile_at(space, r, d) > 1.0 - d for d in deltas])
+    admitted = in_neighborhood(space, r, np.array(deltas)[:, None])
     gaps = np.zeros(len(offsets))
     for k in np.flatnonzero(np.any(admitted, axis=0)):
         src = tuple(slice(max(x, 0), n + min(x, 0)) for x, n in zip(offsets[k], shape))

@@ -1,10 +1,12 @@
 """Strong neighborhoods, probabilistic diameter, and continuity testing.
 
 The strong neighborhood of p at threshold t collects the points whose
-difference profile exceeds 1 - t at t.  The probabilistic diameter of a
-finite point set is the left-continuous regularization of the pointwise
-infimum of the members' norm profiles -- a radius about the origin, not
-a pairwise spread; it is implemented exactly as defined.
+difference profile exceeds 1 - t at t; `pn_space.in_neighborhood`
+decides that for every check here, and makes it the ball of radius
+t / a(t) for every generator.  The probabilistic diameter of a finite
+point set is the left-continuous regularization of the pointwise infimum
+of the members' norm profiles -- a radius about the origin, not a
+pairwise spread; it is implemented exactly as defined.
 
 Continuity testing is a semi-decision.  The existential threshold  "some
 smaller neighborhood has a well-concentrated image" is scanned over a
@@ -13,9 +15,9 @@ threshold or the scan is inconclusive (reported as such, never as
 disproof).  Neighborhood contents are approximated by a probe lattice.
 A diameter computed on a lattice subset can only overestimate the true
 concentration, so lattice witnesses are confirmed against the exact
-interval-image bound whenever the generator is a single step (the case
-where the neighborhood is exactly a ball and the image supremum is an
-exact finite computation).  Profiles are evaluated by `pn_space`.
+interval-image bound whenever the generator is a single step (the
+image supremum over the ball is an exact finite computation; the gate to
+single steps is kept, so other generators keep the lattice evidence).
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ import numpy as np
 from .ddf import Ddf, left_limit_of_infimum
 from .discont import PiecewiseMap1D, _validate_descending, lattice_nodes
 from .errors import InvalidArgumentError
-from .pn_space import PnSpace, Vector, as_vector, prob_norm, profile_at, vec_norms
+from .pn_space import (PnSpace, Vector, as_vector, in_neighborhood, level_location, prob_norm,
+                       profile_at, vec_norms)
 from .tnorms import TNormKind
 
-# Largest probe lattice of the continuity scan, and largest work array:
-# each sample point holds a (threshold levels x probe lattice points x
-# generator jumps) array of floats, 128 MB at MAX_SCAN_CELLS.
+# Largest probe lattice of the continuity scan, and largest product of
+# threshold levels x probe lattice points x generator jumps it takes on;
+# so its (levels x points) work arrays of floats stay within 128 MB.
 MAX_PROBE_BUDGET = 1 << 16
 MAX_SCAN_CELLS = 1 << 24
 
@@ -67,7 +70,7 @@ def in_strong_neighborhood(space: PnSpace, p, t: float, q) -> bool:
     if not (t > 0.0):
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
     diff = np.subtract(as_vector(p, space.dimension), as_vector(q, space.dimension))
-    return bool(profile_at(space, vec_norms(diff), t) > 1.0 - t)
+    return bool(in_neighborhood(space, vec_norms(diff), t))
 
 
 def prob_diameter(space: PnSpace, A: PointSet) -> Ddf:
@@ -134,21 +137,11 @@ def _probe_shape(space: PnSpace, m, levels: int, budget: int, name: str) -> tupl
 
 def _exact_ball_confirmation(space: PnSpace, pw: PiecewiseMap1D, p: float,
                              tprime: float, t: float) -> bool:
-    # Single-step generator: the neighborhood is exactly the ball of
-    # radius tprime / step-location (everything, above threshold 1), and
-    # the image supremum over the clipped interval is exact.
-    g_loc = space.generator.jumps[0][0]
-    if g_loc == 0.0:
-        return True
-    if tprime > 1.0:
-        lo, hi = pw.domain
-        sup = pw.sup_abs_on_interval(lo, hi)
-    else:
-        r = tprime / g_loc
-        sup = pw.sup_abs_on_interval(p - r, p + r)
-    if t > 1.0:
-        return True
-    return g_loc * sup < t
+    # The t'-neighborhood is the ball of radius t' / a(t'), the whole
+    # domain when a(t') = 0, and the image supremum over it is exact.
+    a = level_location(space, tprime)
+    lo, hi = (p - tprime / a, p + tprime / a) if a > 0.0 else pw.domain
+    return bool(in_neighborhood(space, pw.sup_abs_on_interval(lo, hi), t))
 
 
 def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: float,
@@ -183,10 +176,10 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
         # Row k: the lattice points inside the t'_k-neighborhood of p.  The
         # image diameter of those points and p is the profile of the
         # largest image norm among them.
-        members = profile_at(space, vec_norms(lattice - p), tprimes) > 1.0 - tprimes
+        members = in_neighborhood(space, vec_norms(lattice - p), tprimes)
         worst = np.max(np.where(members, image_norms, 0.0), axis=1, initial=0.0)
         worst = np.maximum(worst, p_norm)
-        concentrated = profile_at(space, worst, t) > 1.0 - t
+        concentrated = in_neighborhood(space, worst, t)
         witness = None
         for tprime, ok in zip(schedule, concentrated):
             if ok and (not exact_route or _exact_ball_confirmation(space, m, p[0], tprime, t)):
@@ -252,7 +245,7 @@ def check_pairwise_image_separation(space: PnSpace, m, pairs: Sequence[tuple], t
             raise InvalidArgumentError(f"pairs must be distinct, got {p!r} twice")
         checked_pairs.append((p, q))
     ends = np.reshape(checked_pairs, (len(checked_pairs), 2, space.dimension))
-    vals = profile_at(space, vec_norms(m.eval_points(ends[:, 0]) - m.eval_points(ends[:, 1])), t)
-    violations = tuple(PairwiseViolation(p=p, q=q, value=float(val))
-                       for (p, q), val in zip(checked_pairs, vals) if not val > 1.0 - t)
+    gaps = vec_norms(m.eval_points(ends[:, 0]) - m.eval_points(ends[:, 1]))
+    violations = tuple(PairwiseViolation(*checked_pairs[i], float(profile_at(space, gaps[i], t)))
+                       for i in np.flatnonzero(~in_neighborhood(space, gaps, t)))
     return PairwiseReport(t=t, checked=len(checked_pairs), violations=violations)

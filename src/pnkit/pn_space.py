@@ -9,6 +9,8 @@ when the product a * r is strictly below t.  `profile_at` evaluates it
 on arrays and `norm_profile` builds it as a Ddf; the two agree unless
 scaled jumps fall within 1e-12 of each other and merge.  A larger norm
 gives a smaller profile, so an infimum of profiles is the largest norm's.
+It also owns the strong-neighborhood rule, profile > 1 - t at t, which
+`in_neighborhood` decides for every caller as r * a(t) < t.
 With the minimum t-norm on both slots this family satisfies all four
 axioms, which the checker verifies on seeded samples by exact
 step-function comparisons:
@@ -134,6 +136,21 @@ def profile_at(space: PnSpace, norms, t) -> np.ndarray:
     gen = space.generator
     below = np.count_nonzero(r[..., None] * gen._locs < t[..., None], axis=-1)
     return np.where(r == 0.0, (t > 0.0).astype(float), gen._cums[below])
+
+
+def level_location(space: PnSpace, t) -> np.ndarray:
+    """a(t), broadcast over `t`: the generator location of the first level
+    above 1 - t; 0 when 1 - t < 0, +inf when no level passes."""
+    first = np.searchsorted(space.generator._cums, 1.0 - np.asarray(t, dtype=float), "right")
+    return np.concatenate(([0.0], space.generator._locs, [math.inf]))[first]
+
+
+def in_neighborhood(space: PnSpace, norms, t) -> np.ndarray:
+    """`profile_at(space, r, t) > 1 - t` bit for bit, broadcast over `norms` and
+    `t`, as r * a(t) < t (the same rounded product); r == 0 is in where 1 - t < 1."""
+    r, t = np.asarray(norms, dtype=float), np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # r == 0 decides 0 * inf
+        return np.where(r == 0.0, 1.0 - t < 1.0, r * level_location(space, t) < t)
 
 
 def norm_profile(space: PnSpace, r: float) -> Ddf:

@@ -25,8 +25,7 @@ from pnkit.ddf import (LIMIT_MERGE_TOL, VALUE_TOL, _cluster_representatives, com
                        ddf_leq_witness)
 from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
 from pnkit.fixpoint import MAX_REFINEMENTS, KakutaniResult
-from pnkit.neighborhoods import (_exact_ball_confirmation, _probe_shape,
-                                 default_tprime_schedule)
+from pnkit.neighborhoods import _probe_shape, default_tprime_schedule
 from pnkit.pn_space import AxiomResult, profile_at, vec_norm, vec_norms
 from pnkit.tnorms import TNormAxiomReport, TNormKind, tau_apply, tnorm_apply, tnorm_apply_np
 
@@ -198,6 +197,28 @@ def pointwise_min_curve(fns, xs: np.ndarray) -> np.ndarray:
     return np.min(vals, axis=0)
 
 
+def exact_ball_confirmation_ref(space, pw: PiecewiseMap1D, p: float,
+                                tprime: float, t: float) -> bool:
+    """Reference exact ball check for a single-step generator at location
+    g, read off the step itself: the t'-neighborhood is the ball of radius
+    t' / g (everything when g == 0 or t' > 1), and the image supremum s
+    over it is concentrated when t > 1 or g * s < t.  It assumes a full
+    step, so it may disagree with the profile rule only when the mass
+    falls short of 1 and t or t' is at or below the shortfall."""
+    g_loc = space.generator.jumps[0][0]
+    if g_loc == 0.0:
+        return True
+    if tprime > 1.0:
+        lo, hi = pw.domain
+        sup = pw.sup_abs_on_interval(lo, hi)
+    else:
+        r = tprime / g_loc
+        sup = pw.sup_abs_on_interval(p - r, p + r)
+    if t > 1.0:
+        return True
+    return g_loc * sup < t
+
+
 def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> list:
     """Reference continuity scan: each sample point's witness threshold on
     the default schedule, or None, found one point, one t' and one
@@ -206,8 +227,8 @@ def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> lis
     The members at t' are the lattice points whose difference profile
     from p exceeds 1 - t' at t'; t' is a witness when the profile of the
     largest image among the members and p exceeds 1 - t at t.  The probe
-    lattice and the exact ball bound for single-step generators on
-    piecewise maps are the library's own."""
+    lattice is the library's own; the exact ball bound for single-step
+    generators on piecewise maps is `exact_ball_confirmation_ref`."""
     schedule = default_tprime_schedule(t)
     shape = _probe_shape(space, m, len(schedule), probe_budget, "threshold schedule")
     lattice = [tuple(float(c) for c in q) for q in lattice_nodes(m.box, shape)]
@@ -222,7 +243,7 @@ def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> lis
             farthest = max(images, key=vec_norm)
             if not prob_norm(space, farthest).eval(t) > 1.0 - t:
                 continue
-            if exact_route and not _exact_ball_confirmation(space, m, p[0], tprime, t):
+            if exact_route and not exact_ball_confirmation_ref(space, m, p[0], tprime, t):
                 continue
             witness = tprime
             break

@@ -279,3 +279,28 @@ class TestEndToEnd:
         assert np.array_equal(m.eval_points(fixed), fixed)
         r = verify_approx_fixed_point(PnSpace(dimension=2), m, grid_resolutions=(0.05,))
         assert r.fixpoint.dominance
+
+    @staticmethod
+    def _half_contraction(generator):
+        """The 2-D contraction p -> (0.25 + p / 2) on a 0.2 lattice, fixed at
+        (0.5, 0.5), verified under `generator` with the delta schedule
+        (0.4, 0.2, 0.1) and the 256-point t-grid."""
+        m = SampledMap.from_function(lambda p: (0.25 + 0.5 * p[0], 0.25 + 0.5 * p[1]),
+                                     ((0.0, 1.0), (0.0, 1.0)), 0.2)
+        return verify_approx_fixed_point(
+            PnSpace(dimension=2, generator=Ddf(generator)), m, grid_resolutions=(0.2,),
+            delta_schedule=(0.4, 0.2, 0.1), t_grid=tuple(k / 256 for k in range(1, 257)))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the estimate scans only part of the ring the chain reads")
+    def test_partial_ring_contraction_keeps_the_chain(self):
+        # Under the step at 1.9, delta = 0.4 admits the axis offsets (0.2)
+        # but not the diagonals (0.283), and the smaller deltas admit
+        # nothing: the estimate is the profile of the largest axis gap, 0.1,
+        # while `far` at p* = (0.4, 0.4) is a diagonal gap of 0.141.
+        r = self._half_contraction(((1.9, 1.0),))
+        assert r.kakutani.point == (0.4, 0.4)
+        assert r.chain_holds, (r.worst_t, r.mid_minus_psi_min)
+
+    def test_full_ring_contraction_keeps_the_chain(self):
+        assert self._half_contraction(((1.0, 1.0),)).chain_holds

@@ -1,7 +1,9 @@
-"""Every name a pnkit module imports is used by that module, and every
-name a pnkit module defines at its top level is used somewhere."""
+"""Every name a pnkit module imports is used by that module, every
+name a pnkit module defines at its top level is used somewhere, and only
+`pn_space` decides strong-neighborhood membership."""
 
 import ast
+import re
 from pathlib import Path
 from typing import Iterable
 
@@ -92,3 +94,18 @@ def test_the_check_sees_a_dead_name():
     user = "from m import kept\nkept()\n"
     assert dead_names(source, referenced_names([source, user])) == [
         "HULL_CROSS_SLACK (line 1)", "TriangleFn (line 2)"]
+
+
+MEMBERSHIP = re.compile(r">\s*1\.0\s*-")
+
+
+def membership_comparisons(path: Path) -> list[str]:
+    """Lines of `path` that compare a value against 1.0 minus something,
+    the strong-neighborhood test that `pn_space.in_neighborhood` owns."""
+    return [f"{path.name}:{k}" for k, line in enumerate(path.read_text().splitlines(), 1)
+            if MEMBERSHIP.search(line)]
+
+
+def test_only_pn_space_decides_neighborhood_membership():
+    assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "pn_space.py"
+            for hit in membership_comparisons(path)] == []

@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import continuity_scan_oracle, dyadic_ddf, pointwise_min_curve
+from helpers import (continuity_scan_oracle, dyadic_ddf, exact_ball_confirmation_ref,
+                     pointwise_min_curve)
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, Piece, PnSpace,
                    PointSet, TNormKind,
                    check_pairwise_image_separation, constant_map, ddf_leq,
                    default_tprime_schedule, in_strong_neighborhood,
                    make_epsilon, prob_diameter, prob_norm,
                    strong_t_continuity_test)
+from pnkit.cli import ScenarioFamily, generate_scenarios
+from pnkit.ddf import GENERATOR_MASS_TOL
+from pnkit.neighborhoods import _exact_ball_confirmation
+
+thresholds = st.one_of(st.floats(min_value=1e-15, max_value=3.0),
+                       st.sampled_from([0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0]))
 
 
 class TestPointSet:
@@ -176,7 +183,6 @@ class TestContinuityScan:
                                                   st.sampled_from([0.25, 0.5, 1.0])))
     def test_matches_per_point_oracle(self, seed, kind, single_step, t):
         from pnkit import SampledMap
-        from pnkit.cli import ScenarioFamily, generate_scenarios
         rng = np.random.default_rng(seed)
         gen = dyadic_ddf(rng, max_jumps=1 if single_step else 4, full_mass=True)
         dim = 2 if kind == "sampled_2d" else 1
@@ -192,6 +198,24 @@ class TestContinuityScan:
         report = strong_t_continuity_test(sp, m, PointSet(points), t, probe_budget=25)
         assert [e.witness_tprime for e in report.entries] == \
             continuity_scan_oracle(sp, m, points, t, probe_budget=25)
+
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["constant", "affine"]),
+           loc=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.9]),
+                         st.floats(min_value=0.0, max_value=4.0)),
+           short=st.sampled_from([0.0, 0.0, 1e-12, GENERATOR_MASS_TOL / 2]),
+           t=thresholds, tprime=thresholds)
+    def test_ball_confirmation_matches_the_step_reference(self, seed, kind, loc, short,
+                                                           t, tprime):
+        # The reference assumes a full step: the two agree wherever 1 - t and
+        # 1 - t' round below the step's mass.
+        sp = PnSpace(dimension=1, generator=Ddf(((loc, 1.0 - short),)))
+        assume(1.0 - t < sp.generator.total_mass and 1.0 - tprime < sp.generator.total_mass)
+        m = generate_scenarios(ScenarioFamily(count=1, pieces=(1, 4), kind=kind), seed)[0]
+        p = float(np.random.default_rng(seed).uniform(*m.domain))
+        assert (_exact_ball_confirmation(sp, m, p, tprime, t)
+                is exact_ball_confirmation_ref(sp, m, p, tprime, t))
 
 
 class TestPairwiseSeparation:

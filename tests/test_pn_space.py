@@ -1,6 +1,7 @@
 """Tests for simple spaces and the axiom checker."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from pnkit import (Ddf, InvalidArgumentError, PnSpace, TNormKind,
                    check_axioms, make_epsilon, prob_norm, random_vector_pairs)
-from pnkit.pn_space import profile_at, vec_norm, vec_norms
+from pnkit.ddf import GENERATOR_MASS_TOL
+from pnkit.neighborhoods import in_strong_neighborhood
+from pnkit.pn_space import in_neighborhood, level_location, profile_at, vec_norm, vec_norms
 
 from helpers import dominance_loops
 
@@ -101,6 +104,70 @@ class TestProbNorm:
         sp = PnSpace(dimension=2)
         with pytest.raises(InvalidArgumentError):
             prob_norm(sp, (1.0,))
+
+
+def _float_neighbors(x: float) -> list[float]:
+    return [x, float(np.nextafter(x, -math.inf)), float(np.nextafter(x, math.inf))]
+
+
+@st.composite
+def rule_cases(draw):
+    """A space, thresholds and norms on the edges of the neighborhood rule:
+    jumps at 0 and at tiny locations, total mass short of 1 by up to
+    GENERATOR_MASS_TOL, t at 1 - level and its float neighbours and down
+    to the least subnormal, and r == 0, r = t / a and their neighbours."""
+    locs = draw(st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1.9]),
+                                   st.floats(min_value=0.0, max_value=10.0)),
+                         min_size=1, max_size=4, unique=True))
+    weights = draw(st.lists(st.integers(1, 100), min_size=len(locs), max_size=len(locs)))
+    short = draw(st.sampled_from([0.0, 0.0, 1e-12, GENERATOR_MASS_TOL / 2,
+                                  GENERATOR_MASS_TOL * 0.99]))
+    masses = [w / sum(weights) for w in weights]
+    masses[-1] -= short
+    sp = PnSpace(dimension=draw(st.integers(1, 2)),
+                 generator=Ddf(tuple(zip(sorted(locs), masses))))
+    edges = [x for c in sp.generator._cums for x in _float_neighbors(1.0 - float(c))]
+    edges += [5e-324, 1e-300, 2.0 ** -54, 2.0 ** -53, 1e-17, 1e-12, GENERATOR_MASS_TOL,
+              *_float_neighbors(1.0), 2.0]
+    ts = draw(st.lists(st.one_of(st.sampled_from([t for t in edges if t >= 0.0]),
+                                 st.floats(min_value=0.0, max_value=3.0)),
+                       min_size=1, max_size=6))
+    with np.errstate(over="ignore"):
+        radii = [x for t in ts for a in sp.generator._locs if a > 0.0
+                 for x in _float_neighbors(t / a) if 0.0 <= x < math.inf]
+    norms = draw(st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e300, *radii]),
+                                    st.floats(min_value=0.0, max_value=20.0)),
+                          min_size=1, max_size=12))
+    return sp, np.array(ts), np.array(norms)
+
+
+class TestNeighborhoodRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=rule_cases())
+    def test_matches_the_profile_comparison_bit_for_bit(self, case):
+        sp, ts, norms = case
+        with np.errstate(over="ignore"):
+            want = profile_at(sp, norms[:, None], ts) > 1.0 - ts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = in_neighborhood(sp, norms[:, None], ts)
+        assert got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=rule_cases(), data=st.data())
+    def test_point_membership_follows_the_rule(self, case, data):
+        sp, ts, _ = case
+        p, q = (tuple(data.draw(st.lists(coords, min_size=sp.dimension, max_size=sp.dimension)))
+                for _ in range(2))
+        for t in ts[ts > 0.0]:
+            want = bool(profile_at(sp, vec_norm(np.subtract(p, q)), t) > 1.0 - t)
+            assert in_strong_neighborhood(sp, p, t, q) is want
+
+    def test_level_location_edges(self):
+        sp = PnSpace(dimension=1, generator=Ddf(((0.5, 0.25), (2.0, 0.75 - 1e-10))))
+        got = level_location(sp, np.array([2.0, 1.0, 0.75, 0.5, 1e-11]))
+        assert got.tolist() == [0.0, 0.5, 2.0, 2.0, math.inf]
 
 
 class TestProfileCore:
