@@ -36,7 +36,7 @@ from .fixpoint import MAX_REFINEMENTS, VerifyResult, verify_approx_fixed_point
 from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
                             strong_t_continuity_test)
 from .pn_space import DEFAULT_LAMBDAS, PnSpace, check_axioms, random_vector_pairs
-from .tnorms import TNormKind, tau_apply
+from .tnorms import MAX_PAIR_SUMS, TNormKind, tau_apply
 
 MIN_BREAK_SEPARATION = 0.01
 
@@ -193,6 +193,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         space = PnSpace.from_json_obj(raw["space"]) if "space" in raw else PnSpace(dimension=1)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"space: {exc}") from exc
+    # N3 and N4 take tau of two scaled copies of the generator: n jumps
+    # give n * n pair sums.
+    n = len(space.generator.jumps)
+    if n * n > MAX_PAIR_SUMS:
+        raise InvalidArgumentError(
+            f"space.generator: {n} jumps need {n * n} pair sums, "
+            f"more than MAX_PAIR_SUMS={MAX_PAIR_SUMS}")
 
     mp = None
     if "map" in raw:

@@ -16,6 +16,13 @@ and `limit_values` (k per point: the one-sided limits, or the images
 of the adjacent lattice nodes).  Only the exact routes, which need the
 pieces, look at the kind.
 
+`limit_values` returns its (n, k, dim) array in slot-major (Fortran)
+order: its transpose is a C-contiguous (dim, k, n) array, one row of n
+points per coordinate and slot.  The hull search reduces over the k
+slots of every point at once, and in this order each such reduction
+runs along contiguous rows; on a row-major array it would run along the
+short slot axis, one point at a time.
+
 A grid estimator of the same quantity, driven only by point evaluations
 of the map, recovers it from below through a schedule of shrinking
 neighborhoods.  Its single rule, for either map kind: over the lattice
@@ -226,8 +233,9 @@ class PiecewiseMap1D:
 
     def limit_values(self, P) -> np.ndarray:
         """The (left, right) limits at each row of an (n, 1) array of domain
-        points, as (n, 2, 1).  A limit missing at a domain end, or within
-        LIMIT_MERGE_TOL of the left one, is a copy of the other one."""
+        points, as (n, 2, 1) in slot-major order.  A limit missing at a
+        domain end, or within LIMIT_MERGE_TOL of the left one, is a copy of
+        the other one."""
         xs = self._domain_xs(P)
         lo, hi = self.domain
         # Piece k covers (.., breaks[k]] from the left, [breaks[k-1], ..) from the right.
@@ -237,7 +245,7 @@ class PiecewiseMap1D:
         right = self._slopes_np[kr] * xs + self._icepts_np[kr]
         left = np.where(xs > lo, left, right)
         right = np.where((xs < hi) & (np.abs(right - left) > LIMIT_MERGE_TOL), right, left)
-        return np.stack([left, right], axis=1)[:, :, None]
+        return np.stack([left, right])[None].T
 
     def sup_abs_on_interval(self, a: float, b: float) -> float:
         """sup of |f| over the clipped interval [a, b]; exact because the
@@ -346,16 +354,14 @@ def convex_hull(values):
     for seq in (ordered, ordered[::-1]):  # the lower chain, then the upper
         chain: list = []
         for q in seq:
-            while len(chain) >= 2 and _cross(np.subtract(chain[-1], chain[-2]),
-                                             np.subtract(q, chain[-2])) <= 0:
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (q[1] - ay) - (by - ay) * (q[0] - ax) > 0:
+                    break
                 chain.pop()
             chain.append(q)
         vertices += chain[:-1]
     return tuple(vertices)
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _norms(dx, dy):
@@ -414,12 +420,6 @@ def _planar_hull_block(px, py, x, y) -> np.ndarray:
     return np.where(in_box & (inside | np.any(holds, axis=0)), 0.0, nearest)
 
 
-def _slot_planes(Q: np.ndarray) -> np.ndarray:
-    """The coordinates of an (n, k, 2) array as (2, k, n): one row per
-    slot, so that work over the slots runs across all points at once."""
-    return np.ascontiguousarray(np.transpose(Q, (2, 1, 0)))
-
-
 def hull_distances(P, Q) -> np.ndarray:
     """Distance from each row p of an (n, dim) array P to the convex hull
     of the matching row of an (n, k, dim) array Q: max(0, lo - x, x - hi)
@@ -430,12 +430,16 @@ def hull_distances(P, Q) -> np.ndarray:
     to such a segment, exact as the hull edges are among them.  Where a
     cross product rounds to the wrong sign, the result is off by at most
     that rounding.  Every segment and fan triangle of a row is measured
-    at once, HULL_BLOCK_ROWS rows at a time."""
+    at once, HULL_BLOCK_ROWS rows at a time.
+
+    The work runs on the (dim, k, n) planes `Q.T`: contiguous rows and no
+    copy for the slot-major arrays `limit_values` returns, and the same
+    values, a little slower, for Q in any other order."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape[-1] == 1:
-        x, lo, hi = P[:, 0], np.min(Q[..., 0], axis=1), np.max(Q[..., 0], axis=1)
+        x, lo, hi = P[:, 0], Q.T[0].min(axis=0), Q.T[0].max(axis=0)
         return np.maximum(np.maximum(0.0, lo - x), x - hi)
-    return _in_row_blocks(_planar_hull_block, P[:, 0], P[:, 1], *_slot_planes(Q))
+    return _in_row_blocks(_planar_hull_block, P[:, 0], P[:, 1], *Q.T)
 
 
 def nearest_to_hull(P, Q) -> tuple[int, float]:
@@ -453,7 +457,7 @@ def nearest_to_hull(P, Q) -> tuple[int, float]:
         dist = hull_distances(P, Q)
         i = int(np.argmin(dist))
         return i, float(dist[i])
-    x, y = _slot_planes(Q)
+    x, y = Q.T
     px, py = P[:, 0], P[:, 1]
     box = _norms(np.maximum(np.maximum(0.0, x.min(axis=0) - px), px - x.max(axis=0)),
                  np.maximum(np.maximum(0.0, y.min(axis=0) - py), py - y.max(axis=0)))
@@ -543,15 +547,24 @@ class SampledMap:
 
     def limit_values(self, P) -> np.ndarray:
         """Images of the 3^dim - 1 lattice nodes around the node nearest
-        each row of an (n, dim) array, as (n, 3^dim - 1, dim).  A node past
-        the lattice edge is mirrored onto another one, whose image it repeats."""
+        each row of an (n, dim) array, as (n, 3^dim - 1, dim) in slot-major
+        order.  A node past the lattice edge is mirrored onto another one,
+        whose image it repeats."""
         if min(self.shape) < 2:
             raise InvalidArgumentError(
                 f"limit values need two lattice nodes along every axis, got shape {self.shape}")
+        # Coordinates first, with a border of mirrored nodes around the
+        # lattice (np.pad's "reflect" rule, at a third of its cost): every
+        # neighbour is then a fixed shift of its node in the flat layout.
+        planes = np.moveaxis(self.images, -1, 0)
+        for axis in range(1, self.dim + 1):
+            planes = np.concatenate([planes.take([1], axis), planes, planes.take([-2], axis)],
+                                    axis)
         offsets = [d for d in itertools.product((-1, 0, 1), repeat=self.dim) if any(d)]
-        top = np.array(self.shape) - 1
-        idx = top - np.abs(top - np.abs(self._snap(P)[:, None, :] + offsets))
-        return self.images[tuple(np.moveaxis(idx, -1, 0))]
+        strides = np.array([math.prod(planes.shape[j + 2:]) for j in range(self.dim)])
+        nodes = (self._snap(P) + 1) @ strides
+        shifts = np.array(offsets) @ strides
+        return planes.reshape(self.dim, -1).take(nodes + shifts[:, None], axis=1).T
 
     def neighbor_images(self, p) -> tuple[Vector, ...]:
         """Images of the lattice nodes adjacent to p's, in lexicographic order."""
@@ -683,11 +696,27 @@ def _largest_gaps(space: PnSpace, images: np.ndarray, step: float,
     offsets = offsets[len(offsets) // 2 + 1:].astype(np.intp)
     r = step * vec_norms(offsets)
     admitted = in_neighborhood(space, r, np.array(deltas)[:, None])
+    cols = np.flatnonzero(np.any(admitted, axis=0))
+    # In 2-d the largest squared length per offset, rooted once at the end:
+    # the sum is `vec_norms`' own, and sqrt is correctly rounded, so monotone.
+    # In 1-d the length is |d|, whose square could underflow.  Slices are
+    # built from Python ints: numpy scalars would cost as much as the gaps.
+    planes = np.ascontiguousarray(np.moveaxis(images, -1, 0))
     gaps = np.zeros(len(offsets))
-    for k in np.flatnonzero(np.any(admitted, axis=0)):
-        src = tuple(slice(max(x, 0), n + min(x, 0)) for x, n in zip(offsets[k], shape))
-        dst = tuple(slice(max(-x, 0), n + min(-x, 0)) for x, n in zip(offsets[k], shape))
-        gaps[k] = np.max(vec_norms(images[src] - images[dst]))
+    for k, offset in zip(cols.tolist(), offsets[cols].tolist()):
+        src = tuple([slice(max(x, 0), n + min(x, 0)) for x, n in zip(offset, shape)])
+        dst = tuple([slice(max(-x, 0), n + min(-x, 0)) for x, n in zip(offset, shape)])
+        d = [c[src] - c[dst] for c in planes]
+        if len(d) == 1:
+            gaps[k] = np.abs(d[0]).max()
+        else:
+            dx, dy = d
+            dx *= dx
+            dy *= dy
+            dx += dy
+            gaps[k] = dx.max()
+    if len(planes) == 2:
+        gaps = np.sqrt(gaps)
     return [float(np.max(gaps[row])) if np.any(row) else None for row in admitted]
 
 

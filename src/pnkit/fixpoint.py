@@ -231,9 +231,10 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
     p = np.array(kk.point)[None]
     fk = m.eval_points(p)
     far = float(np.max(vec_norms(fk - m.limit_values(p)[0])))
-    upper = (profile_at(space, vec_norms(fk[0] - p[0]), ts)
-             - profile_at(space, far + kk.distance, ts))
-    lower = profile_at(space, far, ts) - psi.eval_many(ts)
+    norms = [[vec_norms(fk[0] - p[0])], [far + kk.distance], [far]]
+    residual, mid, least = profile_at(space, norms, ts)
+    upper = residual - mid
+    lower = least - psi.eval_many(ts)
     return VerifyResult(space=space, map=m, estimate=estimate, fixpoint=fp, kakutani=kk,
                         t_grid=t_grid,
                         worst_t=float(ts[np.argmin(np.minimum(upper, lower))]),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -336,6 +336,50 @@ def limit_values_scan(pw: PiecewiseMap1D, x: float) -> tuple[float, ...]:
         if all(abs(r - v) > LIMIT_MERGE_TOL for v in vals):
             vals.append(r)
     return tuple(vals)
+
+
+def piecewise_limit_values_ref(pw: PiecewiseMap1D, P) -> np.ndarray:
+    """`PiecewiseMap1D.limit_values` as a row-major gather: the same
+    arithmetic, stacked slot after slot into a C-ordered (n, 2, 1)."""
+    xs = pw._domain_xs(P)
+    lo, hi = pw.domain
+    kl = np.searchsorted(pw._breaks_np, xs, "left")
+    kr = np.searchsorted(pw._breaks_np, xs, "right")
+    left = pw._slopes_np[kl] * xs + pw._icepts_np[kl]
+    right = pw._slopes_np[kr] * xs + pw._icepts_np[kr]
+    left = np.where(xs > lo, left, right)
+    right = np.where((xs < hi) & (np.abs(right - left) > LIMIT_MERGE_TOL), right, left)
+    return np.stack([left, right], axis=1)[:, :, None]
+
+
+def sampled_limit_values_ref(m, P) -> np.ndarray:
+    """`SampledMap.limit_values` as a row-major gather: each neighbour's
+    index mirrored into the lattice by top - |top - |i + o||, then one
+    fancy index into the images, C-ordered (n, 3^dim - 1, dim)."""
+    offsets = [d for d in product((-1, 0, 1), repeat=m.dim) if any(d)]
+    top = np.array(m.shape) - 1
+    idx = top - np.abs(top - np.abs(m._snap(P)[:, None, :] + offsets))
+    return m.images[tuple(np.moveaxis(idx, -1, 0))]
+
+
+def convex_hull_ref(points) -> tuple:
+    """Andrew's monotone chain on planar points with numpy cross products:
+    `discont.convex_hull` must return the same vertices, in order."""
+    ordered = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
+    if len(ordered) <= 2:
+        return tuple(ordered)
+    vertices: list = []
+    for seq in (ordered, ordered[::-1]):
+        chain: list = []
+        for q in seq:
+            while len(chain) >= 2:
+                u, v = np.subtract(chain[-1], chain[-2]), np.subtract(q, chain[-2])
+                if u[0] * v[1] - u[1] * v[0] > 0:
+                    break
+                chain.pop()
+            chain.append(q)
+        vertices += chain[:-1]
+    return tuple(vertices)
 
 
 def kakutani_loop_search(pw: PiecewiseMap1D, h: float, tol: float | None = None) -> KakutaniResult:

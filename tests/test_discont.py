@@ -1,5 +1,7 @@
 """Tests for piecewise maps, limit sets, hulls, and the discontinuity measure."""
 
+import dataclasses
+import itertools
 import math
 import warnings
 from unittest.mock import patch
@@ -18,8 +20,9 @@ from pnkit.cli import ScenarioFamily, generate_scenarios
 from pnkit import discont
 from pnkit.discont import MAX_GRID_NODES, hull_distances, map_eval_vec, nearest_to_hull
 
-from helpers import (dyadic_ddf, estimator_levels_oracle, hull_distances_pairwise,
-                     planar_hull_oracle, sampled_eval_oracle)
+from helpers import (convex_hull_ref, dyadic_ddf, estimator_levels_oracle,
+                     hull_distances_pairwise, piecewise_limit_values_ref, planar_hull_oracle,
+                     sampled_eval_oracle, sampled_limit_values_ref)
 
 
 def jump_map() -> PiecewiseMap1D:
@@ -191,6 +194,23 @@ def hull_distance(p, pts) -> float:
     return float(hull_distances([p], [pts])[0])
 
 
+class TestPlanarHullChain:
+    @settings(max_examples=200, deadline=None)
+    @given(pts=st.one_of(st.lists(grid_point, min_size=1, max_size=10),
+                         st.lists(free_point, min_size=1, max_size=10)))
+    def test_matches_the_numpy_chain(self, pts):
+        assert convex_hull(pts) == convex_hull_ref(pts)
+
+    def test_matches_the_numpy_chain_near_a_line(self):
+        # Points a + t (b - a) at random t: their cross products are
+        # rounding errors of either sign.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            a, b = rng.uniform(-1.0, 1.0, (2, 2))
+            pts = a + rng.uniform(-2.0, 2.0, (int(rng.integers(3, 10)), 1)) * (b - a)
+            assert convex_hull(pts) == convex_hull_ref(pts)
+
+
 class TestHullDistances:
     def check_against_oracle(self, p, pts):
         contained, dist, err = planar_hull_oracle(p, pts)
@@ -328,6 +348,16 @@ class TestNearestToHull:
     @given(rows=near_edge_rows())
     def test_points_within_a_slack_of_an_edge(self, rows):
         self.check(*rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.one_of(hull_rows(), collinear_rows(), near_edge_rows()))
+    def test_slot_major_input_reads_alike(self, rows):
+        # `limit_values` returns Fortran-ordered rows; the strategies draw C order.
+        P, Q = rows
+        F = np.asfortranarray(Q)
+        assert same_bits(hull_distances(P, F), hull_distances(P, Q))
+        (i, d), (j, e) = nearest_to_hull(P, F), nearest_to_hull(P, Q)
+        assert i == j and same_bits(d, e)
 
     @settings(max_examples=50, deadline=None)
     @given(rows=hull_rows())
@@ -602,6 +632,53 @@ def _random_sampled(rng: np.random.Generator, dim: int, box: tuple, resolution: 
     n = int(round((box[1] - box[0]) / resolution)) + 1
     images = rng.uniform(box[0], box[1], (n ** dim, dim))
     return SampledMap(box=(box,) * dim, resolution=resolution, images=images)
+
+
+def _owned_by(m: PiecewiseMap1D, closed: str) -> PiecewiseMap1D:
+    """m with every piece closed at `closed`, so that every interior
+    breakpoint has the one owner that flag names."""
+    return PiecewiseMap1D(m.domain, tuple(dataclasses.replace(p, closed=closed)
+                                          for p in m.pieces))
+
+
+class TestSlotMajorLayout:
+    """`limit_values` returns the values of the row-major gather, bit for
+    bit, in slot-major (Fortran) order; the hull search reads that array
+    and a C-ordered copy of it alike."""
+
+    def check(self, P, Q, ref):
+        assert Q.shape == ref.shape and same_bits(Q, ref)
+        assert Q.flags.f_contiguous
+        C = np.ascontiguousarray(Q)
+        assert same_bits(hull_distances(P, C), hull_distances(P, Q))
+        i, d = nearest_to_hull(P, Q)
+        j, e = nearest_to_hull(P, C)
+        assert i == j and same_bits(d, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["constant", "affine"]),
+           closed=st.sampled_from(["left", "right"]))
+    def test_piecewise_limit_values(self, seed, kind, closed):
+        rng = np.random.default_rng(seed)
+        m = _owned_by(_random_piecewise(rng, kind), closed)
+        P = np.concatenate([rng.uniform(0.0, 1.0, 20), m.breakpoints, m.domain])[:, None]
+        self.check(P, m.limit_values(P), piecewise_limit_values_ref(m, P))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2]),
+           box=st.sampled_from([(0.0, 1.0), (-0.5, 1.5)]), nodes=st.integers(2, 9))
+    def test_sampled_limit_values(self, seed, dim, box, nodes):
+        rng = np.random.default_rng(seed)
+        a, b = box
+        m = _random_sampled(rng, dim, box, (b - a) / (nodes - 1))
+        assert m.shape == (nodes,) * dim
+        ticks = np.linspace(a, b, nodes)
+        corners = list(itertools.product((a, b), repeat=dim))
+        # Edge nodes: one coordinate at a box end, the others anywhere.
+        edges = [tuple(rng.choice([a, b]) if k == axis else rng.choice(ticks)
+                       for k in range(dim)) for axis in range(dim) for _ in range(4)]
+        P = np.array(corners + edges + list(rng.uniform(a - 0.5, b + 0.5, (12, dim))))
+        self.check(P, m.limit_values(P), sampled_limit_values_ref(m, P))
 
 
 class TestMapInterface:
