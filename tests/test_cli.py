@@ -343,10 +343,6 @@ class TestExitCodes:
         ("verify-t34", {"scenarios": {"count": 2, "values": [1.0, 0.0]}}, "values"),
         ("verify-t34", {"seed": -1}, "seed: must be nonnegative"),
         ("check-axioms", {"space": {"dimension": 10 ** 13}}, "MAX_SAMPLE_COORDS"),
-        # N3 and N4 would need 1025 * 1025 pair sums, more than MAX_PAIR_SUMS.
-        ("verify-t34", {"space": {"dimension": 1, "generator": [
-            [1.0 + k / 2048, 1 / 1024 if k < 1023 else 1 / 2048] for k in range(1025)]}},
-         "space.generator: 1025 jumps need 1050625 pair sums"),
         # Grid counts checked at load: a step whose halving by the
         # searches is too fine, and the default step on a wide domain.
         ("fixpoint", {"schedules": {"grids": [2.0 ** -19]}},
@@ -354,6 +350,10 @@ class TestExitCodes:
         ("psi", {"map": {"domain": [0.0, 4096.0], "pieces": [
             {"from": 0.0, "to": 4096.0, "closed": "left", "affine": [0.0, 1.0]}]}},
          "schedules.grids: grid step h=0.0009765625 needs 4194305 nodes"),
+        # N3 and N4 would need 1025 * 1025 pair sums, more than MAX_PAIR_SUMS.
+        ("verify-t34", {"space": {"dimension": 1, "generator": [
+            [1.0 + k / 2048, 1 / 1024 if k < 1023 else 1 / 2048] for k in range(1025)]}},
+         "space.generator: 1025 jumps need 1050625 pair sums"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
