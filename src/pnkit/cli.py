@@ -32,7 +32,7 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_
                       discontinuity_estimate, discontinuity_exact, grid_node_count,
                       lattice_nodes)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
-from .fixpoint import MAX_REFINEMENTS, VerifyResult, verify_approx_fixed_point
+from .fixpoint import VerifyResult, verify_approx_fixed_point
 from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
                             strong_t_continuity_test)
 from .pn_space import DEFAULT_LAMBDAS, PnSpace, check_axioms, random_vector_pairs
@@ -233,11 +233,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"schedules: {exc}") from exc
     if isinstance(mp, PiecewiseMap1D) or (mp is None and fam is not None):
-        # The searches may halve the finest step MAX_REFINEMENTS times; a
-        # sampled map has its lattice and no other grid.
+        # The searches build the grid of the finest step; a sampled map has
+        # its lattice and no other grid.
         lo, hi = fam.domain if mp is None else mp.domain
-        _convert("schedules.grids", lambda h: [grid_node_count(lo, hi, h * 0.5 ** k)
-                                               for k in range(MAX_REFINEMENTS + 1)], grids[-1])
+        _convert("schedules.grids", lambda h: grid_node_count(lo, hi, h), grids[-1])
 
     for field in ("output", "output_csv"):
         if not isinstance(raw.get(field), (str, type(None))):
@@ -309,7 +308,7 @@ def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[VerifyResult]]:
     return report, results
 
 
-def write_report(report: dict, path: str) -> None:
+def write_report(report: dict | list, path: str) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
@@ -479,13 +478,11 @@ def cmd_gen_scenarios(args) -> int:
         seed = args.seed
     maps = generate_scenarios(fam, seed)
     payload = [m.to_json_obj() for m in maps]
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        write_report(payload, args.out)
         print(f"wrote {len(maps)} maps to {args.out}")
     else:
-        sys.stdout.write(text)
+        _print_json(payload)
     return 0
 
 

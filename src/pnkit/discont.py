@@ -812,13 +812,6 @@ class RouteComparison:
     def agree(self) -> bool:
         return self.distance <= self.bound + VALUE_TOL
 
-    def to_json_obj(self) -> dict:
-        return {"exact": self.exact.to_json_obj(),
-                "estimate": self.estimate.ddf.to_json_obj(),
-                "distance": self.distance,
-                "bound": self.bound,
-                "agree": self.agree}
-
 
 def compare_discontinuity_routes(space: PnSpace, pw: PiecewiseMap1D, *,
                                  delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,

@@ -12,8 +12,8 @@ class InvalidArgumentError(PnkitError, ValueError):
 class TheoremViolationError(PnkitError, RuntimeError):
     """An existence guarantee failed to materialize on a search grid.
 
-    Raised only after grid refinement has been exhausted.  This signals an
-    implementation or configuration defect and is never swallowed; the CLI
+    Raised when the one grid a search scans holds no witness.  This signals
+    an implementation or configuration defect and is never swallowed; the CLI
     maps it to a dedicated exit code so CI can distinguish it from plain
     validation errors.
     """

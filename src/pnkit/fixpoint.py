@@ -14,10 +14,13 @@ heuristics):
     once, measuring in 2-d only the candidates whose bounding-box
     distance does not already rule them out.
 
-Existence of both is guaranteed for self-maps of a compact interval, so
-a search that still fails after MAX_REFINEMENTS halvings of its grid
-step raises instead of reporting quietly: that outcome signals a defect,
-not bad luck.
+Existence of both is guaranteed for self-maps of a compact interval, and
+each search scans exactly one grid: step h, or a sampled map's lattice.
+A piecewise map's candidates already hold the witnesses (every
+breakpoint lies in the hull of its one-sided limits when g(x) = f(x) - x
+changes sign across it, and every piece's exact fixed point is a
+candidate), so a search that finds none raises at once instead of
+reporting quietly: that outcome signals a defect, not bad luck.
 
 Residual profiles are ordered by the displacement |f(p) - p| (see
 `pn_space`); the dominance search therefore minimizes that displacement
@@ -44,11 +47,6 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_
 from .errors import InvalidArgumentError, TheoremViolationError
 from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norms
 
-# How many times a search halves its grid step after a miss before the
-# miss counts as a defect.
-MAX_REFINEMENTS = 1
-
-
 @dataclass(frozen=True)
 class FixPointReport:
     """Best candidate of the dominance search.
@@ -66,7 +64,9 @@ class FixPointReport:
     psi: Ddf
     dominance: bool
     margin: float
-    refinements: int
+    # The search scans one grid and never refines; the benchmark's traced
+    # counter `fixpoint.find_approx_fixed_point.refinements` reads it.
+    refinements = 0
 
     def to_json_obj(self) -> dict:
         return {
@@ -90,12 +90,12 @@ class KakutaniResult:
                 "distance": self.distance}
 
 
-def _search_steps(m, h: float) -> tuple[float, ...]:
-    """The grid steps a search tries in turn: h, halved up to MAX_REFINEMENTS times."""
+def _search_step(m, h: float) -> float:
+    """The one grid step a search scans: h, or a sampled map's lattice step."""
     h = float(h)
     if not (h > 0.0 and math.isfinite(h)):
         raise InvalidArgumentError(f"grid resolution must be positive, got {h!r}")
-    return m.grids(tuple(h * 0.5 ** k for k in range(MAX_REFINEMENTS + 1)))
+    return m.grids((h,))[0]
 
 
 def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointReport:
@@ -103,61 +103,48 @@ def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointRe
     check that its residual profile dominates `psi`.
 
     When `psi` comes from the exact route a dominating candidate must
-    exist; a grid miss triggers one refinement by halving h, after which
-    a persistent miss raises with the failing report attached.
+    exist among the candidates of the one grid searched, so a miss
+    raises with the failing report attached.
     """
-    steps = _search_steps(m, h)
+    h = _search_step(m, h)
     if m.dim != space.dimension:
         raise InvalidArgumentError("map and space dimensions must agree")
 
-    report = None
-    for attempt, cur_h in enumerate(steps):
-        cands = m.candidates(cur_h)
-        diffs = m.eval_points(cands) - cands
-        disp = vec_norms(diffs)
-        i = int(np.argmin(disp))  # ties resolve to the first candidate in order
-        residual = prob_norm(space, diffs[i])
-        margin, _ = ddf_leq_witness(psi, residual)
-        dominance = margin <= VALUE_TOL
-        report = FixPointReport(candidate=tuple(cands[i].tolist()), displacement=float(disp[i]),
-                                residual_ddf=residual, psi=psi, dominance=dominance,
-                                margin=margin, refinements=attempt)
-        if dominance:
-            return report
-    raise TheoremViolationError(
-        f"no candidate dominates the discontinuity measure "
-        f"(best displacement {report.displacement!r} at {report.candidate!r})",
-        report=report)
+    cands = m.candidates(h)
+    diffs = m.eval_points(cands) - cands
+    disp = vec_norms(diffs)
+    i = int(np.argmin(disp))  # ties resolve to the first candidate in order
+    residual = prob_norm(space, diffs[i])
+    margin, _ = ddf_leq_witness(psi, residual)
+    report = FixPointReport(candidate=tuple(cands[i].tolist()), displacement=float(disp[i]),
+                            residual_ddf=residual, psi=psi, dominance=margin <= VALUE_TOL,
+                            margin=margin)
+    if not report.dominance:
+        raise TheoremViolationError(
+            f"no candidate dominates the discontinuity measure "
+            f"(best displacement {report.displacement!r} at {report.candidate!r})",
+            report=report)
+    return report
 
 
-def kakutani_search(m, h: float, tol: float | None = None) -> KakutaniResult:
-    """Find a candidate within `tol` of the convex hull of its own limit
-    values: on each grid, the first candidate of least hull distance,
-    which replaces the best of a coarser grid only when strictly closer.
-
-    tol defaults to one cell of the first grid searched: h, or the
-    lattice step of a sampled map, whose lattice is its only candidate
-    set.  Existence is guaranteed, so a miss after refinement raises.
+def kakutani_search(m, h: float) -> KakutaniResult:
+    """Find the first candidate of least distance to the convex hull of
+    its own limit values, on the one grid searched: step h, or the
+    lattice of a sampled map.  That step is the tolerance: existence is
+    guaranteed, so a best distance above it raises.
     """
-    steps = _search_steps(m, h)
-    tol = float(steps[0] if tol is None else tol)
-    if tol < 0.0:
-        raise InvalidArgumentError(f"tolerance must be nonnegative, got {tol!r}")
-
-    best: KakutaniResult | None = None
-    for cur_h in steps:
-        cands = m.candidates(cur_h)
-        limits = m.limit_values(cands)
-        i, dist = nearest_to_hull(cands, limits)
-        if best is None or dist < best.distance:
-            best = KakutaniResult(point=tuple(cands[i].tolist()), hull=convex_hull(limits[i]),
-                                  distance=dist)
-        if best.distance <= tol:
-            return best
-    raise TheoremViolationError(
-        f"no candidate within {tol!r} of its own limit hull "
-        f"(best distance {best.distance!r} at {best.point!r})",
-        report=best)
+    h = _search_step(m, h)
+    cands = m.candidates(h)
+    limits = m.limit_values(cands)
+    i, dist = nearest_to_hull(cands, limits)
+    best = KakutaniResult(point=tuple(cands[i].tolist()), hull=convex_hull(limits[i]),
+                          distance=dist)
+    if dist > h:
+        raise TheoremViolationError(
+            f"no candidate within {h!r} of its own limit hull "
+            f"(best distance {dist!r} at {best.point!r})",
+            report=best)
+    return best
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, TheoremViolationEr
 from pnkit.ddf import (LIMIT_MERGE_TOL, VALUE_TOL, _cluster_representatives, comparison_probes,
                        ddf_leq_witness)
 from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
-from pnkit.fixpoint import MAX_REFINEMENTS, KakutaniResult
+from pnkit.fixpoint import KakutaniResult
 from pnkit.neighborhoods import _probe_shape, default_tprime_schedule
 from pnkit.pn_space import AxiomResult, profile_at, vec_norm, vec_norms
 from pnkit.tnorms import TNormAxiomReport, TNormKind, tau_apply, tnorm_apply, tnorm_apply_np
@@ -382,25 +382,22 @@ def convex_hull_ref(points) -> tuple:
     return tuple(vertices)
 
 
-def kakutani_loop_search(pw: PiecewiseMap1D, h: float, tol: float | None = None) -> KakutaniResult:
+def kakutani_loop_search(pw: PiecewiseMap1D, h: float) -> KakutaniResult:
     """Reference hull search on a piecewise map: one candidate at a time,
     in order, keeping a candidate only when strictly closer to the hull
-    of its scanned limit values than the best so far, and stopping a
-    grid at the first exact containment."""
-    steps = pw.grids(tuple(h * 0.5 ** k for k in range(MAX_REFINEMENTS + 1)))
-    tol = steps[0] if tol is None else tol
+    of its scanned limit values than the best so far, and stopping at the
+    first exact containment.  A best distance above h raises."""
     best = None
-    for cur_h in steps:
-        for (x,) in pw.candidates(cur_h).tolist():
-            lo, hi = convex_hull(limit_values_scan(pw, x))
-            d = max(0.0, lo - x, x - hi)
-            if best is None or d < best.distance:
-                best = KakutaniResult(point=(x,), hull=(lo, hi), distance=d)
-                if d == 0.0:
-                    break
-        if best.distance <= tol:
-            return best
-    raise TheoremViolationError("no candidate within tolerance", report=best)
+    for (x,) in pw.candidates(h).tolist():
+        lo, hi = convex_hull(limit_values_scan(pw, x))
+        d = max(0.0, lo - x, x - hi)
+        if best is None or d < best.distance:
+            best = KakutaniResult(point=(x,), hull=(lo, hi), distance=d)
+            if d == 0.0:
+                break
+    if best.distance > h:
+        raise TheoremViolationError("no candidate within tolerance", report=best)
+    return best
 
 
 def _cross_exact(o, a, b) -> Fraction:

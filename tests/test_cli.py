@@ -165,16 +165,78 @@ class TestSubcommands:
         assert out["kakutani"]["hull"] == [0.2, 0.6]
 
     def test_gen_scenarios_to_file(self, tmp_path, capsys):
-        out_path = tmp_path / "maps.json"
-        code = main(["gen-scenarios", "--count", "3", "--pieces", "2", "4",
-                     "--seed", "5", "--out", str(out_path)])
-        assert code == 0
+        out_path = tmp_path / "nested" / "maps.json"
+        argv = ["gen-scenarios", "--count", "3", "--pieces", "2", "4", "--seed", "5"]
+        assert main(argv + ["--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert len(payload) == 3
         assert all("pieces" in m for m in payload)
+        # The file holds the bytes the stdout form prints.
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert out_path.read_bytes() == capsys.readouterr().out.encode()
+
+
+class TestRoutesAndGenerators:
+    def test_psi_exact_route_prints_the_exact_measure_only(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["psi", "--config", str(path), "--route", "exact"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"exact"}
+        assert out["exact"][0][0] == pytest.approx(0.4, abs=1e-12)
+
+    def test_psi_exact_route_refuses_a_sampled_map(self, tmp_path, capsys):
+        m = SampledMap.from_function(lambda p: (0.5 * p[0],), ((0.0, 1.0),), 0.25)
+        path = write_config(tmp_path, {"map": {"sampled": m.to_json_obj()}})
+        assert main(["psi", "--config", str(path), "--route", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert "exact route needs a piecewise map" in err
+        assert "Traceback" not in err
+
+    def test_psi_estimate_route_prints_the_estimate_only(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["psi", "--config", str(path), "--route", "estimate"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"estimate"}
+        assert out["estimate"]["ddf"][0][0] == pytest.approx(0.4, abs=1e-12)
+
+    def test_gen_scenarios_config_matches_flag_form(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenarios": {"count": 3, "pieces": [2, 4],
+                                                     "kind": "affine"}, "seed": 5})
+        assert main(["gen-scenarios", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["gen-scenarios", "--count", "3", "--pieces", "2", "4",
+                     "--kind", "affine", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert len(json.loads(from_config)) == 3
+
+    def test_gen_scenarios_config_without_scenarios_is_validation_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["gen-scenarios", "--config", str(path)]) == 2
+        assert "needs a 'scenarios' entry" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
+    def test_no_output_path_prints_the_report(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        report, _ = run_verify(load_config(str(path)))
+        assert main(["verify-t34", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "\n".join(lines[:-1]) == json.dumps(report, indent=2, sort_keys=True)
+        assert lines[-1] == "scenarios: 1  dominance: 1  chain: 1"
+
+    def test_anomalous_scenarios_exit_three(self, tmp_path, capsys, monkeypatch):
+        import pnkit.cli as cli_mod
+
+        summary = {"count": 2, "dominance_successes": 1, "chain_successes": 2,
+                   "anomalies": [1]}
+        monkeypatch.setattr(cli_mod, "run_verify", lambda cfg: ({"summary": summary}, []))
+        path = write_config(tmp_path)
+        assert main(["verify-t34", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert "scenarios: 2  dominance: 1  chain: 2" in captured.out
+        assert "anomalous scenarios: [1]" in captured.err
+
     def test_single_map_run(self, tmp_path, capsys):
         out_json = tmp_path / "report.json"
         path = write_config(tmp_path, {"output": str(out_json)})
@@ -287,6 +349,25 @@ class TestExitCodes:
         assert main(["verify-t34", "--config", str(path)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, keep_map, message", [
+        ("verify-t34", True, "exactly one of 'map' and 'scenarios'"),
+        ("verify-t34", False, "either 'map' or 'scenarios'"),
+        ("psi", False, "psi needs a 'map' config entry"),
+        ("fixpoint", False, "fixpoint needs a 'map' config entry"),
+        ("continuity", False, "continuity needs a 'map' config entry"),
+    ])
+    def test_map_entry_is_checked(self, tmp_path, capsys, command, keep_map, message):
+        # verify-t34 is given both entries or neither; the others no map.
+        cfg = json.loads(json.dumps(JUMP_CONFIG))
+        if keep_map:
+            cfg["scenarios"] = {"count": 2}
+        else:
+            del cfg["map"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_file_is_validation_error(self, capsys):
         assert main(["verify-t34", "--config", "/nonexistent/cfg.json"]) == 2
 
@@ -343,9 +424,9 @@ class TestExitCodes:
         ("verify-t34", {"scenarios": {"count": 2, "values": [1.0, 0.0]}}, "values"),
         ("verify-t34", {"seed": -1}, "seed: must be nonnegative"),
         ("check-axioms", {"space": {"dimension": 10 ** 13}}, "MAX_SAMPLE_COORDS"),
-        # Grid counts checked at load: a step whose halving by the
-        # searches is too fine, and the default step on a wide domain.
-        ("fixpoint", {"schedules": {"grids": [2.0 ** -19]}},
+        # Grid counts checked at load: a step too fine for the grid the
+        # searches build, and the default step on a wide domain.
+        ("fixpoint", {"schedules": {"grids": [2.0 ** -20]}},
          "schedules.grids: grid step h=9.5367431640625e-07 needs 1048577 nodes"),
         ("psi", {"map": {"domain": [0.0, 4096.0], "pieces": [
             {"from": 0.0, "to": 4096.0, "closed": "left", "affine": [0.0, 1.0]}]}},
@@ -398,6 +479,13 @@ class TestExitCodes:
         cfg = parse_config({"map": {"sampled": m.to_json_obj()},
                             "schedules": {"grids": [1e-9]}})
         assert cfg.grid_resolutions == (1e-9,)
+
+    def test_finest_grid_is_the_only_one_counted(self):
+        # 2**-19 needs 524289 nodes, within MAX_GRID_NODES; the searches
+        # build no finer grid, so the config loads.
+        raw = json.loads(json.dumps(JUMP_CONFIG))
+        raw["schedules"]["grids"] = [2.0 ** -19]
+        assert parse_config(raw).grid_resolutions == (2.0 ** -19,)
 
     def test_config_validation_reports_field(self, tmp_path):
         path = write_config(tmp_path, {"map": {"domain": [0.0, 1.0], "pieces": [

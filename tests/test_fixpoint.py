@@ -91,13 +91,13 @@ class TestDominanceSearch:
             assert fp.dominance == (fp.margin <= 1e-12)
             assert fp.dominance == ddf_leq(fp.psi, fp.residual_ddf)
 
-    def test_unreachable_bound_raises_after_refinement(self, unit_space):
+    def test_unreachable_bound_raises_with_failing_report(self, unit_space):
         # The jump map's least displacement is about 0.1, so demanding
         # dominance over a tighter bound must fail loudly.
         with pytest.raises(TheoremViolationError) as exc:
             find_approx_fixed_point(unit_space, jump_map(), make_epsilon(0.05), H)
         assert exc.value.report is not None
-        assert exc.value.report.refinements == 1
+        assert exc.value.report.dominance is False
 
     def test_consistency_for_continuous_pieces(self, unit_space):
         # Whenever the measure is maximal the residual must be within a
@@ -109,8 +109,11 @@ class TestDominanceSearch:
         assert sibley_distance(fp.residual_ddf, make_epsilon(0.0)) <= 0.25 * H + H + 1e-9
 
     def test_rejects_bad_resolution(self, unit_space):
-        with pytest.raises(InvalidArgumentError):
-            find_approx_fixed_point(unit_space, jump_map(), make_epsilon(0.0), 0.0)
+        for h in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidArgumentError, match="grid resolution must be positive"):
+                find_approx_fixed_point(unit_space, jump_map(), make_epsilon(0.0), h)
+            with pytest.raises(InvalidArgumentError, match="grid resolution must be positive"):
+                kakutani_search(jump_map(), h)
 
 
 class TestHullContainmentSearch:
@@ -136,15 +139,9 @@ class TestHullContainmentSearch:
         # best containment distance can only improve on a finer lattice.
         def f(p):
             return (0.6,) if p[0] < 0.503 else (0.2,)
-        coarse = kakutani_search(SampledMap.from_function(f, ((0.0, 1.0),), 1.0 / 16),
-                                 1.0 / 16, tol=1.0)
-        fine = kakutani_search(SampledMap.from_function(f, ((0.0, 1.0),), 1.0 / 64),
-                               1.0 / 64, tol=1.0)
+        coarse = kakutani_search(SampledMap.from_function(f, ((0.0, 1.0),), 1.0 / 16), 1.0 / 16)
+        fine = kakutani_search(SampledMap.from_function(f, ((0.0, 1.0),), 1.0 / 64), 1.0 / 64)
         assert fine.distance <= coarse.distance
-
-    def test_tolerance_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            kakutani_search(jump_map(), H, tol=-0.1)
 
     def test_matches_loop_search_on_batch_config(self):
         cfg = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "batch.json"))
@@ -161,14 +158,6 @@ class TestHullContainmentSearch:
         # limits merge and many candidates tie at distance 0.
         family = ScenarioFamily(count=1, pieces=(pieces, pieces), values=values, kind=kind)
         m, = generate_scenarios(family, seed)
-        try:
-            want = kakutani_loop_search(m, h, tol=0.0)
-        except TheoremViolationError as exc:
-            with pytest.raises(TheoremViolationError) as got:
-                kakutani_search(m, h, tol=0.0)
-            assert got.value.report == exc.report
-        else:
-            assert kakutani_search(m, h, tol=0.0).to_json_obj() == want.to_json_obj()
         assert kakutani_search(m, h).to_json_obj() == kakutani_loop_search(m, h).to_json_obj()
 
     def test_lattice_with_one_node_along_an_axis_is_refused(self):
