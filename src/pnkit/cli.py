@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -84,12 +85,10 @@ class ScenarioFamily:
     def from_json_obj(cls, obj: dict) -> "ScenarioFamily":
         if not isinstance(obj, dict) or "count" not in obj:
             raise InvalidArgumentError("scenarios spec must be an object with at least 'count'")
-        return cls(count=_convert("scenarios.count", int, obj["count"]),
-                   pieces=_convert("scenarios.pieces", lambda v: _pair(v, int),
-                                   obj.get("pieces", (1, 5))),
-                   values=_convert("scenarios.values", _pair, obj.get("values", (0.0, 1.0))),
-                   kind=obj.get("kind", "constant"),
-                   domain=_convert("scenarios.domain", _pair, obj.get("domain", (0.0, 1.0))))
+        convs = {"count": int, "pieces": lambda v: _pair(v, int), "values": _pair,
+                 "kind": lambda v: v, "domain": _pair}
+        return cls(**{key: _convert(f"scenarios.{key}", conv, obj[key])
+                      for key, conv in convs.items() if key in obj})
 
 
 def _convert(field: str, conv, value):
@@ -413,17 +412,17 @@ def cmd_psi(args) -> int:
     cfg = load_config(args.config)
     if cfg.map is None:
         raise InvalidArgumentError("psi needs a 'map' config entry")
-    schedules = dict(delta_schedule=cfg.delta_schedule,
-                     grid_resolutions=cfg.grid_resolutions, t_grid=cfg.t_grid)
+    schedules = dict(delta_schedule=cfg.delta_schedule, grid_resolutions=cfg.grid_resolutions)
     out: dict = {}
     if args.route == "exact":
         out["exact"] = discontinuity_exact(cfg.space, cfg.map).to_json_obj()
     elif args.route == "both" and _exact_route(cfg.space, cfg.map):
         routes = compare_discontinuity_routes(cfg.space, cfg.map, **schedules)
-        out.update(exact=routes.exact.to_json_obj(), estimate=routes.estimate.to_json_obj(),
-                   sibley_distance=routes.distance)
+        out.update(exact=routes.exact.to_json_obj(), sibley_distance=routes.distance,
+                   estimate=routes.estimate.to_json_obj(cfg.t_grid))
     else:  # the estimate alone, also for --route both where no exact route applies
-        out["estimate"] = discontinuity_estimate(cfg.space, cfg.map, **schedules).to_json_obj()
+        est = discontinuity_estimate(cfg.space, cfg.map, **schedules)
+        out["estimate"] = est.to_json_obj(cfg.t_grid)
     _print_json(out)
     return 0
 
@@ -470,11 +469,10 @@ def cmd_gen_scenarios(args) -> int:
     else:
         if args.seed is None:
             raise InvalidArgumentError("gen-scenarios needs --seed (or a config)")
-        fam = ScenarioFamily(count=args.count,
-                             pieces=(args.pieces[0], args.pieces[1]),
-                             values=(args.values[0], args.values[1]),
-                             kind=args.kind,
-                             domain=(args.domain[0], args.domain[1]))
+        # The flags that were set, as a config's `scenarios` entry.
+        fam = ScenarioFamily.from_json_obj({
+            key: getattr(args, key) for key in ("count", "pieces", "values", "kind", "domain")
+            if getattr(args, key) is not None})
         seed = args.seed
     maps = generate_scenarios(fam, seed)
     payload = [m.to_json_obj() for m in maps]
@@ -540,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-scenarios", help="generate seeded random piecewise maps")
     p.add_argument("--config", default=None)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--pieces", type=int, nargs=2, default=[1, 5], metavar=("LO", "HI"))
-    p.add_argument("--values", type=float, nargs=2, default=[0.0, 1.0], metavar=("LO", "HI"))
-    p.add_argument("--kind", choices=["constant", "affine"], default="constant")
-    p.add_argument("--domain", type=float, nargs=2, default=[0.0, 1.0], metavar=("LO", "HI"))
+    p.add_argument("--pieces", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--values", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--kind", choices=["constant", "affine"])
+    p.add_argument("--domain", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_scenarios)
@@ -554,14 +552,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except TheoremViolationError as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return 3
-    except (PnkitError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # One line per warning shown, without a source location; the filters stay.
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except TheoremViolationError as exc:
+            print(f"theorem violation: {exc}", file=sys.stderr)
+            return 3
+        except (PnkitError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entry() -> None:

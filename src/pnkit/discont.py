@@ -635,24 +635,26 @@ class RefinementLevel:
 class DiscontinuityEstimate:
     """Grid estimate of the discontinuity measure with refinement history.
 
-    `ddf` is the final (finest-grid, smallest-delta) estimate.  For each
-    t in `t_grid`, `values` holds the final per-t estimate and
-    `brackets` the last two refinement values, a convergence bracket in
-    place of an error bound.
+    `ddf` is the final (finest-grid, smallest-delta) estimate and
+    `previous` the estimate of the admitted level before it, or `ddf`
+    itself when only one level was admitted.  At each t the two bracket
+    the final value, in place of an error bound.  `to_json_obj(t_grid)`
+    evaluates both on the t-grid a report prints.
     """
 
     ddf: Ddf
-    t_grid: tuple[float, ...]
-    values: tuple[float, ...]
-    brackets: tuple[tuple[float, float], ...]
+    previous: Ddf
     levels: tuple[RefinementLevel, ...]
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, t_grid: Sequence[float]) -> dict:
+        ts = _validate_ascending("t_grid", t_grid)
+        arr = np.array(ts, dtype=float)
+        vals = self.ddf.eval_many(arr).tolist()
         return {
             "ddf": self.ddf.to_json_obj(),
-            "t_grid": list(self.t_grid),
-            "values": list(self.values),
-            "brackets": [list(b) for b in self.brackets],
+            "t_grid": list(ts),
+            "values": vals,
+            "brackets": [list(b) for b in zip(self.previous.eval_many(arr).tolist(), vals)],
             "levels": [lv.to_json_obj() for lv in self.levels],
         }
 
@@ -722,14 +724,15 @@ def _largest_gaps(space: PnSpace, images: np.ndarray, step: float,
 
 def discontinuity_estimate(space: PnSpace, m, *,
                            delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,
-                           grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS,
-                           t_grid: Sequence[float] = DEFAULT_T_GRID) -> DiscontinuityEstimate:
+                           grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS
+                           ) -> DiscontinuityEstimate:
     """Estimate the discontinuity measure from point evaluations only.
 
     Profiles are ordered by their norms, so the double infimum at each
     t is the profile of the largest displacement between neighborhood
-    pairs: the code tracks that one scalar per refinement level and
-    rebuilds the per-t curves from it exactly.
+    pairs: the code tracks that one scalar per refinement level and keeps
+    the profiles of the last two; `DiscontinuityEstimate.to_json_obj`
+    evaluates them on the t-grid a report prints.
 
     A refinement level whose neighborhood contains no lattice point
     besides p itself is skipped with a warning (grid too coarse for that
@@ -738,7 +741,6 @@ def discontinuity_estimate(space: PnSpace, m, *,
     """
     deltas = _validate_descending("delta_schedule", delta_schedule)
     grids = _validate_descending("grid_resolutions", grid_resolutions)
-    ts = _validate_ascending("t_grid", t_grid)
     if m.dim != space.dimension:
         raise InvalidArgumentError(
             f"map dimension {m.dim} does not match space dimension {space.dimension}")
@@ -772,30 +774,21 @@ def discontinuity_estimate(space: PnSpace, m, *,
 
     est = norm_profile(space, final_gap)
     prev = norm_profile(space, prev_final_gap) if prev_final_gap is not None else est
-    ts_np = np.array(ts, dtype=float)
-    vals = est.eval_many(ts_np)
-    prev_vals = prev.eval_many(ts_np)
-    return DiscontinuityEstimate(
-        ddf=est,
-        t_grid=ts,
-        values=tuple(float(v) for v in vals),
-        brackets=tuple((float(a), float(b)) for a, b in zip(prev_vals, vals)),
-        levels=tuple(levels),
-    )
+    return DiscontinuityEstimate(ddf=est, previous=prev, levels=tuple(levels))
 
 
 def discontinuity_measure(space: PnSpace, m, *,
                           delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,
-                          grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS,
-                          t_grid: Sequence[float] = DEFAULT_T_GRID
+                          grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS
                           ) -> tuple[Ddf, DiscontinuityEstimate | None]:
     """The discontinuity measure by the best available route:
     (exact measure, None) for a piecewise map in a 1-d space, else
-    (estimate.ddf, estimate) from the grid estimator."""
+    (estimate.ddf, estimate) from the grid estimator, a whole d.d.f.
+    either way: callers evaluate it on the t-grid they check or print."""
     if _exact_route(space, m):
         return discontinuity_exact(space, m), None
     est = discontinuity_estimate(space, m, delta_schedule=delta_schedule,
-                                 grid_resolutions=grid_resolutions, t_grid=t_grid)
+                                 grid_resolutions=grid_resolutions)
     return est.ddf, est
 
 
@@ -815,14 +808,15 @@ class RouteComparison:
 
 def compare_discontinuity_routes(space: PnSpace, pw: PiecewiseMap1D, *,
                                  delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,
-                                 grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS,
-                                 t_grid: Sequence[float] = DEFAULT_T_GRID) -> RouteComparison:
+                                 grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS
+                                 ) -> RouteComparison:
     """Compute the discontinuity measure along both routes (exact limit
     gaps vs. grid estimation) and report their metric distance, which
-    must stay within twice the finest grid resolution."""
+    must stay within twice the finest grid resolution.  The estimate's
+    per-t curves are `estimate.to_json_obj(t_grid)`'s."""
     exact = discontinuity_exact(space, pw)
     est = discontinuity_estimate(space, pw, delta_schedule=delta_schedule,
-                                 grid_resolutions=grid_resolutions, t_grid=t_grid)
+                                 grid_resolutions=grid_resolutions)
     dist = sibley_distance(est.ddf, exact)
     return RouteComparison(exact=exact, estimate=est, distance=dist,
                            bound=2.0 * min(grid_resolutions))

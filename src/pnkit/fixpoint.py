@@ -206,7 +206,7 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
     t_grid = _validate_ascending("t_grid", t_grid)
     grid_resolutions = _validate_descending("grid_resolutions", grid_resolutions)
     psi, estimate = discontinuity_measure(space, m, delta_schedule=delta_schedule,
-                                          grid_resolutions=grid_resolutions, t_grid=t_grid)
+                                          grid_resolutions=grid_resolutions)
     h = float(min(grid_resolutions))
     fp = find_approx_fixed_point(space, m, psi, h)
     kk = kakutani_search(m, h)

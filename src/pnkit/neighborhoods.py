@@ -64,11 +64,17 @@ class PointSet:
         return len(self.points[0])
 
 
-def in_strong_neighborhood(space: PnSpace, p, t: float, q) -> bool:
-    """Membership of q in the strong neighborhood of p at threshold t > 0."""
+def _threshold(t) -> float:
+    """A neighborhood threshold as a float, refused unless positive."""
     t = float(t)
     if not (t > 0.0):
         raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
+    return t
+
+
+def in_strong_neighborhood(space: PnSpace, p, t: float, q) -> bool:
+    """Membership of q in the strong neighborhood of p at threshold t > 0."""
+    t = _threshold(t)
     diff = np.subtract(as_vector(p, space.dimension), as_vector(q, space.dimension))
     return bool(in_neighborhood(space, vec_norms(diff), t))
 
@@ -156,9 +162,7 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
     witnesses are confirmed against the exact ball-image bound before
     being reported; otherwise the lattice evidence stands on its own.
     """
-    t = float(t)
-    if not (t > 0.0):
-        raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
+    t = _threshold(t)
     schedule = _validate_descending("threshold schedule", tprime_schedule
                                     if tprime_schedule is not None else default_tprime_schedule(t))
     if domain_sample.dimension != m.dim or m.dim != space.dimension:
@@ -226,9 +230,7 @@ def check_pairwise_image_separation(space: PnSpace, m, pairs: Sequence[tuple], t
     """
     if space.tau is not TNormKind.M:
         raise InvalidArgumentError("pairwise separation requires the minimum t-norm on tau")
-    t = float(t)
-    if not (t > 0.0):
-        raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
+    t = _threshold(t)
     if m.dim != space.dimension:
         raise InvalidArgumentError("map and space dimensions must agree")
     if report.t != t:

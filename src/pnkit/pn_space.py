@@ -214,38 +214,40 @@ def check_axioms(space: PnSpace,
 
     dim = space.dimension
     pairs = np.array([(as_vector(p, dim), as_vector(q, dim)) for p, q in samples])
-    # Each distinct sample vector once, in order of first appearance.
+    # Each distinct sample vector once, in order of first appearance, and
+    # its profile, which N1, N2 and N4 share.
     vectors = np.array(list(dict.fromkeys(map(tuple, pairs.reshape(-1, dim).tolist()))))
+    norm = partial(prob_norm, space)
+    profiles = list(map(norm, vectors))
 
     eps0 = make_epsilon(0.0)
     theta = np.zeros(dim)
 
     # N1: null vector maps to the maximal element, nothing else does.
     n1_worst = None
-    if prob_norm(space, theta).jumps != eps0.jumps:
+    if norm(theta).jumps != eps0.jumps:
         n1_worst = {"p": theta.tolist(), "note": "null vector profile differs from unit step at 0"}
-    nonnull = vectors[np.any(vectors != 0.0, axis=1)]
-    for v in nonnull:
-        if n1_worst is None and prob_norm(space, v).jumps == eps0.jumps:
+    nonnull = np.any(vectors != 0.0, axis=1).tolist()
+    for v, nu_v, nonzero in zip(vectors, profiles, nonnull):
+        if nonzero and n1_worst is None and nu_v.jumps == eps0.jumps:
             n1_worst = {"p": v.tolist(), "note": "nonzero vector has maximal profile"}
-    n1 = AxiomResult("N1", n1_worst is None, 1 + len(nonnull), n1_worst)
+    n1 = AxiomResult("N1", n1_worst is None, 1 + sum(nonnull), n1_worst)
 
     # N2: negation symmetry, exact jump-list equality.
     n2_worst = None
-    for v in vectors:
-        if prob_norm(space, v).jumps != prob_norm(space, -v).jumps:
+    for v, nu_v in zip(vectors, profiles):
+        if nu_v.jumps != norm(-v).jumps:
             n2_worst = {"p": v.tolist(), "note": "profile changed under negation"}
             break
     n2 = AxiomResult("N2", n2_worst is None, len(vectors), n2_worst)
 
-    norm = partial(prob_norm, space)
     # N3: the profile of a sum dominates tau of the profiles.
     n3 = _dominance("N3", ((tau_apply(space.tau, norm(p), norm(q)), norm(p + q),
                             {"p": p.tolist(), "q": q.tolist()}) for p, q in pairs))
     # N4: the profile of v is dominated by tau* of its lambda split.
     n4 = _dominance("N4", ((nu_v, tau_apply(space.tau_star, norm(lam * v), norm((1.0 - lam) * v)),
                             {"p": v.tolist(), "lambda": lam})
-                           for v, nu_v in zip(vectors, map(norm, vectors)) for lam in lambdas))
+                           for v, nu_v in zip(vectors, profiles) for lam in lambdas))
     return AxiomReport((n1, n2, n3, n4))
 
 

@@ -155,6 +155,14 @@ class TestSubcommands:
         assert out["estimate"]["ddf"][0][0] == pytest.approx(0.4, abs=1e-12)
         assert out["sibley_distance"] <= 2.0 / 1024
 
+    def test_warnings_print_one_line_each_without_a_source_path(self, capsys):
+        assert main(["psi", "--config", str(CONFIGS / "sampled.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"warning: delta={d} admits no lattice neighbors at grid step; level skipped"
+            for d in (0.05, 0.025, 0.0125, 0.00625, 0.003125)]
+        assert ".py" not in err
+
     def test_fixpoint_report_shape(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["fixpoint", "--config", str(path)]) == 0
@@ -328,6 +336,25 @@ class TestGoldenOutputs:
         assert hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest() == csv_sha
 
 
+class TestGoldenPsiOutputs:
+    """Pinned digests of `pnkit psi` stdout on the shipped configs: the
+    estimate's per-t curves are evaluated on the config's t-grid."""
+
+    @pytest.mark.parametrize("name, route, code, stdout_sha", [
+        ("jump", "exact", 0, "573d3898f4f5792d36e86c91544258499bdcf50ba669c7c4743478a3f0ccc358"),
+        ("jump", "estimate", 0, "2fa10c95edefd0d54799d083cbe70dd37d9bddb3bf15ba4bee7724794bfbb778"),
+        ("jump", "both", 0, "a803173fd096d43a636c5ee1d63e27db926988bac765533eac6492a0acf31bc1"),
+        ("sampled", "estimate", 0,
+         "6ef139199a5e73db799415c53ede15e84a147645d4623e83e28f40f13e1d845e"),
+        # No exact route for a sampled map: --route both prints the estimate alone.
+        ("sampled", "both", 0, "6ef139199a5e73db799415c53ede15e84a147645d4623e83e28f40f13e1d845e"),
+        ("sampled", "exact", 2, hashlib.sha256(b"").hexdigest()),
+    ])
+    def test_stdout_digests(self, capsys, name, route, code, stdout_sha):
+        assert main(["psi", "--route", route, "--config", str(CONFIGS / f"{name}.json")]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+
+
 class TestExitCodes:
     def test_malformed_json_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -435,6 +462,30 @@ class TestExitCodes:
         ("verify-t34", {"space": {"dimension": 1, "generator": [
             [1.0 + k / 2048, 1 / 1024 if k < 1023 else 1 / 2048] for k in range(1025)]}},
          "space.generator: 1025 jumps need 1050625 pair sums"),
+        # Scenario families, map specs and dimensions refused at load or on
+        # first use.
+        ("verify-t34", {"scenarios": {"count": 2, "pieces": [3, 2]}},
+         "pieces range must satisfy 1 <= lo <= hi, got (3, 2)"),
+        ("verify-t34", {"scenarios": {"count": 2, "kind": "cubic"}},
+         "kind must be 'constant' or 'affine', got 'cubic'"),
+        ("verify-t34", {"scenarios": {"count": 2, "domain": [1.0, 1.0]}},
+         "domain must be a nondegenerate interval, got (1.0, 1.0)"),
+        ("verify-t34", {"scenarios": 5}, "scenarios spec must be an object with at least 'count'"),
+        ("diameter", {}, "diameter needs --points or a 'points' config entry"),
+        ("diameter", {"points": [[0.1, 0.2]]}, "point set dimension 2 does not match space dimension 1"),
+        ("psi", {"map": 5}, "map spec must be an object with 'domain' and 'pieces'"),
+        ("psi", {"map": {"domain": [0.0], "pieces": []}}, "map domain must be a [lo, hi] pair"),
+        ("psi", {"map": {"domain": [1.0, 0.0], "pieces": []}},
+         "domain must be a nondegenerate interval, got (1.0, 0.0)"),
+        ("psi", {"map": {"sampled": {"box": [[0.0, 1.0]] * 3, "resolution": 0.5,
+                                     "images": [[0.5] * 3] * 27}}},
+         "sampled maps are supported in dimension 1 and 2 only"),
+        ("psi", {"map": {"sampled": {"box": [[0.0, 1.0]], "resolution": 0.0, "images": [[0.5]]}}},
+         "resolution must be positive, got 0.0"),
+        ("psi", {"space": {"dimension": 2, "generator": [[1.0, 1.0]]}},
+         "map dimension 1 does not match space dimension 2"),
+        ("continuity", {"space": {"dimension": 2, "generator": [[1.0, 1.0]]}},
+         "sample, map, and space dimensions must agree"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
@@ -442,6 +493,25 @@ class TestExitCodes:
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert field in err
+        assert "Traceback" not in err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([JUMP_CONFIG]))
+        assert main(["psi", "--config", str(path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "gen-scenarios needs --seed (or a config)"),
+        # Five pieces 0.01 apart fill a 0.05-wide domain only at exactly
+        # even spacing, which uniform draws never hit.
+        (["--seed", "1", "--count", "1", "--pieces", "5", "5", "--domain", "0", "0.05"],
+         "could not place 4 breakpoints with separation 0.01 in [0.0, 0.05]"),
+    ])
+    def test_gen_scenarios_flag_refusals(self, capsys, argv, message):
+        assert main(["gen-scenarios"] + argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("box, images, message", [

@@ -47,6 +47,12 @@ class TestConstruction:
             Ddf(((0.5, math.nan),))
 
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_locations_rejects_bad_factors(self, c):
+        with pytest.raises(InvalidArgumentError, match="scale factor must be finite and > 0"):
+            make_epsilon(0.5).scale_locations(c)
+
+
 class TestMakeEpsilon:
     def test_step_values_around_location(self):
         F = make_epsilon(0.5)

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnkit import (Ddf, InvalidArgumentError, Piece, PiecewiseMap1D, PnSpace,
+from pnkit import (Ddf, InvalidArgumentError, LimitSet, Piece, PiecewiseMap1D, PnSpace,
                    SampledMap, compare_discontinuity_routes, constant_map,
                    convex_hull, discontinuity_estimate, discontinuity_exact,
                    left_limit_of_infimum, limit_set, make_epsilon, prob_norm,
                    sibley_distance)
 from pnkit.cli import ScenarioFamily, generate_scenarios
 from pnkit import discont
-from pnkit.discont import MAX_GRID_NODES, hull_distances, map_eval_vec, nearest_to_hull
+from pnkit.discont import (DEFAULT_T_GRID, MAX_GRID_NODES, hull_distances, map_eval_vec,
+                           nearest_to_hull)
 
 from helpers import (convex_hull_ref, dyadic_ddf, estimator_levels_oracle,
                      hull_distances_pairwise, piecewise_limit_values_ref, planar_hull_oracle,
@@ -125,6 +126,10 @@ class TestEvaluation:
         assert m.sup_abs_on_interval(0.0, 1.0) == 0.5
         assert m.sup_abs_on_interval(0.4, 0.6) == pytest.approx(0.1, abs=1e-15)
 
+    def test_sup_abs_rejects_an_interval_outside_the_domain(self):
+        with pytest.raises(InvalidArgumentError, match="interval does not meet the domain"):
+            jump_map().sup_abs_on_interval(2.0, 3.0)
+
     def test_piece_fixed_points(self):
         flip = PiecewiseMap1D(domain=(0.0, 1.0), pieces=(Piece(0.0, 1.0, "left", -1.0, 1.0),))
         assert flip.piece_fixed_points() == (0.5,)
@@ -154,6 +159,10 @@ class TestLimitSet:
         assert limit_set(m, 0.0).values == (0.6,)
         assert limit_set(m, 1.0).values == (0.2,)
 
+    def test_empty_limit_set_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="limit set must be nonempty"):
+            LimitSet(values=(), attained=0.5)
+
     def test_outside_domain_rejected(self):
         with pytest.raises(InvalidArgumentError):
             limit_set(jump_map(), 1.5)
@@ -177,6 +186,10 @@ class TestConvexHull:
             hull = np.array(convex_hull([tuple(x) for x in pts]))
             dist = hull_distances(pts, np.broadcast_to(hull, (len(pts),) + hull.shape))
             assert np.all(dist == 0.0)
+
+    def test_three_dimensional_points_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="dimension 1 and 2 only"):
+            convex_hull([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0)])
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -471,6 +484,11 @@ class TestSampledMap:
             SampledMap(box=((0.0, 1.0),), resolution=0.5,
                        images=((0.0,), (2.0,), (1.0,)))
 
+    def test_non_finite_points_rejected(self):
+        m = SampledMap.from_function(lambda p: p, ((0.0, 1.0),), 0.25)
+        with pytest.raises(InvalidArgumentError, match="point coordinates must be finite"):
+            m.eval_points([[math.nan]])
+
     def test_two_dimensional_lattice(self):
         m = SampledMap.from_function(lambda p: (p[0] * 0.5, p[1] * 0.5),
                                      ((0.0, 1.0), (0.0, 1.0)), 0.25)
@@ -558,7 +576,7 @@ class TestEstimator:
 
     def test_per_t_values_monotone_in_refinement(self, unit_space):
         est = discontinuity_estimate(unit_space, jump_map())
-        for prev, final in est.brackets:
+        for prev, final in est.to_json_obj(DEFAULT_T_GRID)["brackets"]:
             assert prev <= final + 1e-12
 
     def test_too_small_delta_skips_with_warning(self, unit_space):
@@ -580,8 +598,13 @@ class TestEstimator:
             discontinuity_estimate(unit_space, jump_map(), delta_schedule=())
         with pytest.raises(InvalidArgumentError):
             discontinuity_estimate(unit_space, jump_map(), delta_schedule=(0.1, 0.2))
+        est = discontinuity_estimate(unit_space, jump_map())
         with pytest.raises(InvalidArgumentError):
-            discontinuity_estimate(unit_space, jump_map(), t_grid=(0.5, 0.25))
+            est.to_json_obj((0.5, 0.25))
+
+    def test_map_and_space_dimensions_must_agree(self):
+        with pytest.raises(InvalidArgumentError, match="map dimension 1 does not match"):
+            discontinuity_estimate(PnSpace(dimension=2), jump_map())
 
     def test_sampled_map_route(self, unit_space):
         m = SampledMap.from_function(
@@ -594,8 +617,7 @@ class TestEstimator:
         m = SampledMap.from_function(
             lambda p: (0.75, 0.75) if p[0] < 0.5 else (0.25, 0.25),
             ((0.0, 1.0), (0.0, 1.0)), 1.0 / 16)
-        est = discontinuity_estimate(sp, m, delta_schedule=(0.25, 0.125),
-                                     t_grid=tuple(k / 64 for k in range(1, 65)))
+        est = discontinuity_estimate(sp, m, delta_schedule=(0.25, 0.125))
         gap = est.ddf.jumps[0][0]
         assert gap == pytest.approx(math.hypot(0.5, 0.5), abs=1e-12)
 
@@ -741,8 +763,7 @@ class TestMapInterface:
                 with pytest.raises(InvalidArgumentError):
                     discontinuity_estimate(sp, m, delta_schedule=deltas, grid_resolutions=grids)
                 return
-            est = discontinuity_estimate(sp, m, delta_schedule=deltas, grid_resolutions=grids,
-                                         t_grid=(0.25, 0.5, 1.0))
+            est = discontinuity_estimate(sp, m, delta_schedule=deltas, grid_resolutions=grids)
         assert [(lv.grid_h, lv.delta, lv.largest_pair_gap) for lv in est.levels] == want
 
     def test_limit_dedupe_at_merge_tolerance(self):

@@ -115,6 +115,10 @@ class TestDominanceSearch:
             with pytest.raises(InvalidArgumentError, match="grid resolution must be positive"):
                 kakutani_search(jump_map(), h)
 
+    def test_rejects_a_map_of_another_dimension(self):
+        with pytest.raises(InvalidArgumentError, match="map and space dimensions must agree"):
+            find_approx_fixed_point(PnSpace(dimension=2), jump_map(), make_epsilon(0.0), 1 / 64)
+
 
 class TestHullContainmentSearch:
     def test_jump_map_breakpoint_is_contained(self):

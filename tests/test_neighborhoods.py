@@ -229,6 +229,26 @@ class TestPairwiseSeparation:
         assert out.passed
         assert out.checked == 2
 
+    def test_certified_map_with_separated_images_reports_the_violation(self):
+        # Images -0.4 and 0.4 both lie within 0.5 of the origin, so the
+        # scan certifies the map at t = 0.5; their difference 0.8 does not.
+        sp = PnSpace(dimension=1)
+        m = PiecewiseMap1D(domain=(-1.0, 1.0), pieces=(Piece(-1.0, 0.0, "left", 0.0, -0.4),
+                                                       Piece(0.0, 1.0, "left", 0.0, 0.4)))
+        report = strong_t_continuity_test(sp, m, PointSet(((-0.5,), (0.0,), (0.5,))), t=0.5)
+        assert report.passed
+        out = check_pairwise_image_separation(sp, m, [((-0.5,), (0.5,)), ((0.25,), (0.5,))],
+                                              0.5, report)
+        assert out.to_json_obj() == {"t": 0.5, "checked": 2, "passed": False, "violations": [
+            {"p": [-0.5], "q": [0.5], "value": 0.0}]}
+
+    def test_rejects_a_map_of_another_dimension(self):
+        m = constant_map((0.0, 1.0), 0.1)
+        report = strong_t_continuity_test(PnSpace(dimension=1), m, PointSet(((0.5,),)), t=0.5)
+        with pytest.raises(InvalidArgumentError, match="map and space dimensions must agree"):
+            check_pairwise_image_separation(PnSpace(dimension=2), m, [((0.0,), (1.0,))], 0.5,
+                                            report)
+
     def test_requires_minimum_tnorm(self):
         sp = PnSpace(dimension=1, tau=TNormKind.W)
         m = constant_map((0.0, 1.0), 0.1)

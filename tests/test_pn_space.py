@@ -105,6 +105,13 @@ class TestProbNorm:
         with pytest.raises(InvalidArgumentError):
             prob_norm(sp, (1.0,))
 
+    def test_empty_and_non_finite_vectors_rejected(self):
+        sp = PnSpace(dimension=1)
+        with pytest.raises(InvalidArgumentError, match="at least one coordinate"):
+            prob_norm(sp, ())
+        with pytest.raises(InvalidArgumentError, match="coordinates must be finite"):
+            prob_norm(sp, (math.inf,))
+
 
 def _float_neighbors(x: float) -> list[float]:
     return [x, float(np.nextafter(x, -math.inf)), float(np.nextafter(x, math.inf))]
@@ -218,6 +225,8 @@ class TestAxiomChecker:
         sp = PnSpace(dimension=2)
         report = check_axioms(sp, random_vector_pairs(2, 50, seed=11), lambdas=(0.0,))
         assert report["N4"].passed
+        with pytest.raises(KeyError):
+            report["N5"]
 
     def test_degenerate_generator_fails_n1(self):
         sp = PnSpace(dimension=1, generator=make_epsilon(0.0))

@@ -61,6 +61,12 @@ class TestTnormApply:
         for a in rng.uniform(0.0, 1.0, 100):
             assert tnorm_apply(TNormKind.PROD, float(a), 1.0) == float(a)
 
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(InvalidArgumentError, match="unknown t-norm kind 'X'"):
+            tnorm_apply("X", 0.5, 0.5)
+        with pytest.raises(InvalidArgumentError, match="unknown t-norm kind 'X'"):
+            tau_apply("X", make_epsilon(0.5), make_epsilon(0.5))
+
     def test_rejects_out_of_range(self):
         for bad in (-0.1, 1.1):
             with pytest.raises(InvalidArgumentError):
@@ -86,6 +92,10 @@ class TestAxiomChecks:
         report = check_tnorm_axioms(TNormKind.PROD, rng.uniform(0.0, 1.0, (100, 3)))
         assert report.identity == 0.0
         assert report.passed
+
+    def test_rejects_samples_that_are_not_triples(self):
+        with pytest.raises(InvalidArgumentError, match=r"triples, got an array of shape \(1, 2\)"):
+            check_tnorm_axioms(TNormKind.M, [(0.5, 0.5)])
 
     def test_rejects_samples_outside_unit_cube(self):
         with pytest.raises(InvalidArgumentError):
