@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +44,10 @@ MIN_BREAK_SEPARATION = 0.01
 # Largest scenario batch a config may ask for: every scenario's report
 # entry and curves are held until the report is written.
 MAX_SCENARIOS = 1 << 14
+
+# The keys a config may hold at its top level; each command reads its own.
+CONFIG_KEYS = ("space", "map", "scenarios", "seed", "schedules", "output", "output_csv",
+               "pairs", "lambdas", "points", "t", "sample", "probe_budget")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +89,7 @@ class ScenarioFamily:
     def from_json_obj(cls, obj: dict) -> "ScenarioFamily":
         if not isinstance(obj, dict) or "count" not in obj:
             raise InvalidArgumentError("scenarios spec must be an object with at least 'count'")
+        _check_keys("scenarios", obj, [f.name for f in fields(cls)])
         convs = {"count": int, "pieces": lambda v: _pair(v, int), "values": _pair,
                  "kind": lambda v: v, "domain": _pair}
         return cls(**{key: _convert(f"scenarios.{key}", conv, obj[key])
@@ -92,11 +97,20 @@ class ScenarioFamily:
 
 
 def _convert(field: str, conv, value):
-    """conv(value), failing with a validation error that names the field."""
+    """conv(value), failing with a validation error that names the field
+    (also where an integer field reads as an infinite float)."""
     try:
         return conv(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"{field}: {exc}") from exc
+
+
+def _check_keys(where: str, obj, known) -> None:
+    """Refuse a key of the config object `where` that is not in `known`;
+    a value that is not an object is left to its own parser."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in known:
+            raise InvalidArgumentError(f"{where}: unknown key {key!r}")
 
 
 def _pair(value, conv=float) -> tuple:
@@ -170,7 +184,8 @@ def _parse_t_grid(obj) -> tuple[float, ...]:
     if obj is None:
         return DEFAULT_T_GRID
     if isinstance(obj, dict):
-        n = int(obj.get("count", 1024))
+        _check_keys("schedules.t_grid", obj, ("count", "max"))
+        n = _convert("schedules.t_grid.count", int, obj.get("count", 1024))
         if not 1 <= n <= MAX_GRID_NODES:
             raise InvalidArgumentError(
                 f"schedules.t_grid.count: must be in [1, {MAX_GRID_NODES}], got {n}")
@@ -188,9 +203,11 @@ def _parse_map_spec(obj) -> PiecewiseMap1D | SampledMap:
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise InvalidArgumentError("config must be a JSON object")
+    _check_keys("config", raw, CONFIG_KEYS)
+    _check_keys("space", raw.get("space"), [f.name for f in fields(PnSpace)])
     try:
         space = PnSpace.from_json_obj(raw["space"]) if "space" in raw else PnSpace(dimension=1)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"space: {exc}") from exc
     # N3 and N4 take tau of two scaled copies of the generator: n jumps
     # give n * n pair sums.
@@ -204,7 +221,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "map" in raw:
         try:
             mp = _parse_map_spec(raw["map"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgumentError(f"map: {exc}") from exc
 
     fam = None
@@ -222,6 +239,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sched = raw.get("schedules", {})
     if not isinstance(sched, dict):
         raise InvalidArgumentError("schedules: must be an object")
+    _check_keys("schedules", sched, ("delta", "grids", "tprime", "t_grid"))
     try:
         delta = _validate_descending("schedules.delta", sched.get("delta", DEFAULT_DELTA_SCHEDULE))
         grids = _validate_descending("schedules.grids", sched.get("grids", DEFAULT_GRID_RESOLUTIONS))
@@ -229,7 +247,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if "tprime" in sched:
             tprime = _validate_descending("schedules.tprime", sched["tprime"])
         t_grid = _parse_t_grid(sched.get("t_grid"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"schedules: {exc}") from exc
     if isinstance(mp, PiecewiseMap1D) or (mp is None and fam is not None):
         # The searches build the grid of the finest step; a sampled map has
@@ -268,7 +286,7 @@ def load_config(path: str) -> ExperimentConfig:
 def parse_ddf_spec(spec: str) -> Ddf:
     """eps:A for a unit step, @path for a JSON file, else inline JSON."""
     if spec.startswith("eps:"):
-        return make_epsilon(float(spec[4:]))
+        return make_epsilon(_convert(f"d.d.f. spec {spec!r}", float, spec[4:]))
     if spec.startswith("@"):
         return Ddf.from_json(Path(spec[1:]).read_text())
     return Ddf.from_json(spec)
@@ -334,11 +352,7 @@ def _print_json(obj) -> None:
 
 
 def cmd_tau(args) -> int:
-    try:
-        kind = TNormKind(args.tnorm)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"unknown t-norm {args.tnorm!r}") from exc
-    result = tau_apply(kind, parse_ddf_spec(args.f), parse_ddf_spec(args.g))
+    result = tau_apply(TNormKind(args.tnorm), parse_ddf_spec(args.f), parse_ddf_spec(args.g))
     print(result.to_json())
     return 0
 
@@ -389,6 +403,7 @@ def cmd_continuity(args) -> int:
     sample_spec = raw.get("sample", {"count": 9})
     if not isinstance(sample_spec, dict):
         raise InvalidArgumentError("sample: must be an object")
+    _check_keys("sample", sample_spec, ("points", "count"))
     if "points" in sample_spec:
         pts = _convert("sample.points", _points, sample_spec["points"])
     else:

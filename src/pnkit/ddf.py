@@ -65,7 +65,7 @@ HULL_PRUNE_SLACK = 1e-9
 def _cluster_representatives(sorted_vals: Sequence[float]) -> list[float]:
     """Collapse sorted values into clusters, each holding the values
     within KNOT_MERGE_TOL of its smallest one (its head), and return the
-    heads: the same rule `_canonical_jumps` merges knots by."""
+    heads: the same rule the `Ddf` constructor merges knots by."""
     reps: list[float] = []
     for v in sorted_vals:
         if not reps or v - reps[-1] > KNOT_MERGE_TOL:
@@ -94,41 +94,15 @@ def _from_levels(reps: Sequence[float], levels: Sequence[float]) -> "Ddf":
     return Ddf(tuple(jumps))
 
 
-def _canonical_jumps(pairs: Iterable) -> tuple[tuple[float, float], ...]:
-    cleaned: list[tuple[float, float]] = []
-    for entry in pairs:
-        loc, mass = entry
-        loc = float(loc)
-        mass = float(mass)
-        if not math.isfinite(loc) or loc < 0.0:
-            raise InvalidArgumentError(
-                f"jump location must be finite and >= 0, got {loc!r}")
-        if not math.isfinite(mass) or mass <= 0.0:
-            raise InvalidArgumentError(
-                f"jump mass must be finite and > 0, got {mass!r}")
-        cleaned.append((loc, mass))
-    cleaned.sort()
-    merged: list[list[float]] = []
-    for loc, mass in cleaned:
-        if merged and loc - merged[-1][0] <= KNOT_MERGE_TOL:
-            merged[-1][1] += mass
-        else:
-            merged.append([loc, mass])
-    total = math.fsum(m for _, m in merged)
-    if total > 1.0 + VALUE_TOL:
-        raise InvalidArgumentError(f"total jump mass {total!r} exceeds 1")
-    return tuple((loc, mass) for loc, mass in merged)
-
-
 @dataclass(frozen=True)
 class Ddf:
     """A distance distribution function with finitely many jumps.
 
-    `jumps` is canonicalized at construction: pairs are sorted by
-    location, locations within 1e-12 are merged (masses added), and the
-    invariants (locations finite and nonnegative, masses positive, total
-    mass at most 1) are enforced.  Instances are immutable and may be
-    shared freely between threads.
+    `jumps` is canonicalized at construction: each pair is checked
+    (location finite and >= 0, mass > 0), pairs are sorted by location,
+    each location within 1e-12 of its cluster's head merges into it
+    (masses added in order), and the total mass must be at most 1.
+    Instances are immutable and may be shared freely between threads.
     """
 
     jumps: tuple[tuple[float, float], ...] = ()
@@ -139,14 +113,34 @@ class Ddf:
     _cums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jumps = _canonical_jumps(self.jumps)
-        locs = np.array([loc for loc, _ in jumps], dtype=float)
+        cleaned: list[tuple[float, float]] = []
+        for loc, mass in self.jumps:
+            loc, mass = float(loc), float(mass)
+            if not math.isfinite(loc) or loc < 0.0:
+                raise InvalidArgumentError(f"jump location must be finite and >= 0, got {loc!r}")
+            if not math.isfinite(mass) or mass <= 0.0:
+                raise InvalidArgumentError(f"jump mass must be finite and > 0, got {mass!r}")
+            cleaned.append((loc, mass))
+        cleaned.sort()
+        # Each knot within KNOT_MERGE_TOL of its cluster's head joins it.
+        locs: list[float] = []
+        masses: list[float] = []
+        for loc, mass in cleaned:
+            if locs and loc - locs[-1] <= KNOT_MERGE_TOL:
+                masses[-1] += mass
+            else:
+                locs.append(loc)
+                masses.append(mass)
+        total = math.fsum(masses)
+        if total > 1.0 + VALUE_TOL:
+            raise InvalidArgumentError(f"total jump mass {total!r} exceeds 1")
+        knots = np.array(locs, dtype=float)
         # The running mass, clamped at 1 from the first sum that exceeds it.
-        cums = np.array([0.0, *accumulate(mass for _, mass in jumps)])
+        cums = np.array([0.0, *accumulate(masses)])
         np.minimum(cums, 1.0, out=cums)
-        locs.flags.writeable = cums.flags.writeable = False
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "_locs", locs)
+        knots.flags.writeable = cums.flags.writeable = False
+        object.__setattr__(self, "jumps", tuple(zip(locs, masses)))
+        object.__setattr__(self, "_locs", knots)
         object.__setattr__(self, "_cums", cums)
 
     @property
@@ -191,7 +185,7 @@ class Ddf:
                 raise InvalidArgumentError(f"ddf JSON entry {k} must be a [location, mass] pair")
             try:
                 pairs.append((float(entry[0]), float(entry[1])))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidArgumentError(f"ddf JSON entry {k}: {exc}") from exc
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             if b <= a:

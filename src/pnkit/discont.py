@@ -97,6 +97,19 @@ def lattice_nodes(box, shape: Sequence[int]) -> np.ndarray:
     return np.stack(np.meshgrid(*ticks, indexing="ij"), axis=-1).reshape(-1, len(ticks))
 
 
+def _lattice_shape(box, resolution: float) -> tuple[int, ...]:
+    """Nodes along each axis of the lattice of step `resolution` on `box`,
+    the nearest whole number of steps plus one.  A step that is not
+    positive, or that gives infinitely many cells, is refused."""
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise InvalidArgumentError(f"resolution must be positive, got {resolution!r}")
+    cells = [(b - a) / resolution for a, b in box]
+    if not all(map(math.isfinite, cells)):
+        raise InvalidArgumentError(
+            f"resolution {resolution!r} gives a lattice of infinitely many cells on box {box!r}")
+    return tuple(int(round(c)) + 1 for c in cells)
+
+
 @dataclass(frozen=True)
 class Piece:
     """One affine piece a*x + b on [lo, hi]; `closed` names the end this
@@ -382,16 +395,6 @@ def _hull_indices(k: int):
     return pairs, fan
 
 
-def _in_row_blocks(fn, *arrays) -> np.ndarray:
-    """fn on consecutive blocks of HULL_BLOCK_ROWS rows (the last axis of
-    every array), one result per row."""
-    n = arrays[0].shape[-1]
-    out = np.empty(n)
-    for lo in range(0, n, HULL_BLOCK_ROWS):
-        out[lo:lo + HULL_BLOCK_ROWS] = fn(*(a[..., lo:lo + HULL_BLOCK_ROWS] for a in arrays))
-    return out
-
-
 def _planar_hull_block(px, py, x, y) -> np.ndarray:
     """`hull_distances` of n planar points (px, py) to the hulls of k
     points each, given by (k, n) coordinate arrays x, y."""
@@ -439,7 +442,12 @@ def hull_distances(P, Q) -> np.ndarray:
     if P.shape[-1] == 1:
         x, lo, hi = P[:, 0], Q.T[0].min(axis=0), Q.T[0].max(axis=0)
         return np.maximum(np.maximum(0.0, lo - x), x - hi)
-    return _in_row_blocks(_planar_hull_block, P[:, 0], P[:, 1], *Q.T)
+    px, py, (x, y) = P[:, 0], P[:, 1], Q.T
+    out = np.empty(len(P))
+    for lo in range(0, len(P), HULL_BLOCK_ROWS):
+        rows = slice(lo, lo + HULL_BLOCK_ROWS)
+        out[rows] = _planar_hull_block(px[rows], py[rows], x[:, rows], y[:, rows])
+    return out
 
 
 def nearest_to_hull(P, Q) -> tuple[int, float]:
@@ -451,7 +459,7 @@ def nearest_to_hull(P, Q) -> tuple[int, float]:
     row bounds the winner's.  A row with L > U + HULL_PRUNE_SLACK * S,
     for S the largest coordinate size (at least 1), is farther than the
     winner whatever the rounding: it lies outside its bounding box, where
-    no inside test holds."""
+    no inside test holds.  The kept rows go through `hull_distances`."""
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     if P.shape[-1] == 1:
         dist = hull_distances(P, Q)
@@ -464,7 +472,8 @@ def nearest_to_hull(P, Q) -> tuple[int, float]:
     scale = max(1.0, float(np.max(np.abs(Q))), float(np.max(np.abs(P))))
     bound = float(np.min(_norms(px - x, py - y))) + HULL_PRUNE_SLACK * scale
     rows = np.flatnonzero(~(box > bound))  # a NaN row is kept
-    dist = _in_row_blocks(_planar_hull_block, px[rows], py[rows], x[:, rows], y[:, rows])
+    # Gathered along the last axis of Q.T, the kept rows stay slot-major.
+    dist = hull_distances(P[rows], Q.T[..., rows].T)
     j = int(np.argmin(dist))
     return int(rows[j]), float(dist[j])
 
@@ -490,13 +499,10 @@ class SampledMap:
             raise InvalidArgumentError(f"box must be nondegenerate, got {self.box!r}")
         if len(box) > 2:
             raise InvalidArgumentError("sampled maps are supported in dimension 1 and 2 only")
-        res = float(self.resolution)
-        if not (math.isfinite(res) and res > 0.0):
-            raise InvalidArgumentError(f"resolution must be positive, got {self.resolution!r}")
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "resolution", res)
-        imgs = np.array(self.images, dtype=float)
+        object.__setattr__(self, "resolution", float(self.resolution))
         count = math.prod(self.shape)
+        imgs = np.array(self.images, dtype=float)
         if imgs.shape != (count, len(box)):
             raise InvalidArgumentError(
                 f"expected {count} images of dimension {len(box)} for the full lattice, "
@@ -518,7 +524,7 @@ class SampledMap:
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
-        return tuple(int(round((b - a) / self.resolution)) + 1 for a, b in self.box)
+        return _lattice_shape(self.box, self.resolution)
 
     def _snap(self, P) -> np.ndarray:
         """Index of the lattice node nearest each row of P, clipped into
@@ -576,7 +582,7 @@ class SampledMap:
     @classmethod
     def from_function(cls, fn: Callable, box, resolution: float) -> "SampledMap":
         box = tuple((float(a), float(b)) for a, b in box)
-        nodes = lattice_nodes(box, [int(round((b - a) / float(resolution))) + 1 for a, b in box])
+        nodes = lattice_nodes(box, _lattice_shape(box, float(resolution)))
         images = [as_vector(fn(tuple(p)), len(box)) for p in nodes.tolist()]
         return cls(box=box, resolution=float(resolution), images=images)
 

@@ -45,7 +45,7 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_
                       DiscontinuityEstimate, _validate_ascending, _validate_descending,
                       convex_hull, discontinuity_measure, nearest_to_hull)
 from .errors import InvalidArgumentError, TheoremViolationError
-from .pn_space import PnSpace, Vector, prob_norm, profile_at, vec_norms
+from .pn_space import PnSpace, Vector, norm_profile, profile_at, vec_norms
 
 @dataclass(frozen=True)
 class FixPointReport:
@@ -114,7 +114,7 @@ def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointRe
     diffs = m.eval_points(cands) - cands
     disp = vec_norms(diffs)
     i = int(np.argmin(disp))  # ties resolve to the first candidate in order
-    residual = prob_norm(space, diffs[i])
+    residual = norm_profile(space, float(disp[i]))
     margin, _ = ddf_leq_witness(psi, residual)
     report = FixPointReport(candidate=tuple(cands[i].tolist()), displacement=float(disp[i]),
                             residual_ddf=residual, psi=psi, dominance=margin <= VALUE_TOL,

@@ -38,18 +38,12 @@ class TNormKind(Enum):
 
 
 def tnorm_apply(kind: TNormKind, a: float, b: float) -> float:
-    """Apply the t-norm to a pair in [0, 1]."""
+    """Apply the t-norm to a pair in [0, 1], by `tnorm_apply_np`."""
     a = float(a)
     b = float(b)
     if not (0.0 <= a <= 1.0) or not (0.0 <= b <= 1.0):
         raise InvalidArgumentError(f"t-norm arguments must lie in [0, 1], got {a!r}, {b!r}")
-    if kind is TNormKind.W:
-        return max(a + b - 1.0, 0.0)
-    if kind is TNormKind.PROD:
-        return a * b
-    if kind is TNormKind.M:
-        return min(a, b)
-    raise InvalidArgumentError(f"unknown t-norm kind {kind!r}")
+    return float(tnorm_apply_np(kind, a, b))
 
 
 def tnorm_apply_np(kind: TNormKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:

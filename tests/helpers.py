@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, TheoremViolationError,
                    prob_norm)
-from pnkit.ddf import (LIMIT_MERGE_TOL, VALUE_TOL, _cluster_representatives, comparison_probes,
-                       ddf_leq_witness)
+from pnkit.ddf import (KNOT_MERGE_TOL, LIMIT_MERGE_TOL, VALUE_TOL, _cluster_representatives,
+                       comparison_probes, ddf_leq_witness)
 from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
 from pnkit.fixpoint import KakutaniResult
 from pnkit.neighborhoods import _probe_shape, default_tprime_schedule
@@ -45,6 +45,41 @@ def dyadic_ddf(rng: np.random.Generator, max_jumps: int = 6,
     levels *= 2.0 ** -20
     masses = np.diff(np.concatenate([[0.0], levels]))
     return Ddf(tuple((float(l), float(m)) for l, m in zip(locs, masses)))
+
+
+def canonical_ddf_ref(pairs) -> tuple[tuple, bytes, bytes]:
+    """Reference `Ddf` construction, in its former two-pass form: validate
+    each pair, sort, merge each knot within KNOT_MERGE_TOL of its
+    cluster's head into a list of [location, mass] lists, check the
+    total, then build the arrays from the canonical jumps.  Returns the
+    jumps and the bytes of `_locs` and `_cums`; raises as `Ddf` does."""
+    cleaned: list[tuple[float, float]] = []
+    for entry in pairs:
+        loc, mass = entry
+        loc = float(loc)
+        mass = float(mass)
+        if not math.isfinite(loc) or loc < 0.0:
+            raise InvalidArgumentError(
+                f"jump location must be finite and >= 0, got {loc!r}")
+        if not math.isfinite(mass) or mass <= 0.0:
+            raise InvalidArgumentError(
+                f"jump mass must be finite and > 0, got {mass!r}")
+        cleaned.append((loc, mass))
+    cleaned.sort()
+    merged: list[list[float]] = []
+    for loc, mass in cleaned:
+        if merged and loc - merged[-1][0] <= KNOT_MERGE_TOL:
+            merged[-1][1] += mass
+        else:
+            merged.append([loc, mass])
+    total = math.fsum(m for _, m in merged)
+    if total > 1.0 + VALUE_TOL:
+        raise InvalidArgumentError(f"total jump mass {total!r} exceeds 1")
+    jumps = tuple((loc, mass) for loc, mass in merged)
+    locs = np.array([loc for loc, _ in jumps], dtype=float)
+    cums = np.array([0.0, *accumulate(mass for _, mass in jumps)])
+    np.minimum(cums, 1.0, out=cums)
+    return jumps, locs.tobytes(), cums.tobytes()
 
 
 def cums_loop(F: Ddf) -> list[float]:

@@ -48,6 +48,16 @@ class TestDdfSpecs:
         p.write_text("[[0.5, 0.5], [1.0, 0.5]]")
         assert parse_ddf_spec(f"@{p}").jumps == ((0.5, 0.5), (1.0, 0.5))
 
+    @pytest.mark.parametrize("argv, spec", [
+        (["tau", "--tnorm", "M", "--f", "eps:abc", "--g", "eps:0.3"], "eps:abc"),
+        (["ddf", "--f", "eps:0.5", "--sibley", "eps:zz"], "eps:zz"),
+    ])
+    def test_malformed_eps_is_validation_error(self, capsys, argv, spec):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"d.d.f. spec '{spec}': could not convert" in err
+        assert "Traceback" not in err
+
 
 class TestScenarioGeneration:
     def test_deterministic_under_seed(self):
@@ -486,6 +496,42 @@ class TestExitCodes:
          "map dimension 1 does not match space dimension 2"),
         ("continuity", {"space": {"dimension": 2, "generator": [[1.0, 1.0]]}},
          "sample, map, and space dimensions must agree"),
+        # Integer fields that JSON reads as an infinite float.
+        ("verify-t34", {"seed": math.inf}, "seed: cannot convert float infinity"),
+        ("check-axioms", {"seed": math.inf}, "seed: cannot convert float infinity"),
+        ("psi", {"schedules": {"t_grid": {"count": math.inf}}}, "schedules.t_grid.count"),
+        ("check-axioms", {"pairs": math.inf}, "pairs: cannot convert float infinity"),
+        ("verify-t34", {"scenarios": {"count": math.inf}}, "scenarios.count"),
+        ("verify-t34", {"scenarios": {"count": 2, "pieces": [math.inf, 3]}}, "scenarios.pieces"),
+        ("verify-t34", {"scenarios": {"count": 2, "pieces": [1, math.inf]}}, "scenarios.pieces"),
+        ("continuity", {"probe_budget": math.inf}, "probe_budget: cannot convert float infinity"),
+        ("continuity", {"sample": {"count": math.inf}}, "sample.count"),
+        # A lattice step that gives infinitely many cells.
+        ("verify-t34", {"map": {"sampled": {"box": [[0.0, 1e308]], "resolution": 1e-300,
+                                            "images": [[0.5]]}}},
+         "resolution 1e-300 gives a lattice of infinitely many cells"),
+        # Unknown keys, in each config object that has a fixed key set.
+        ("verify-t34", {"colour": "red"}, "config: unknown key 'colour'"),
+        ("verify-t34", {"space": {"dimension": 1, "generater": [[1.0, 1.0]]}},
+         "space: unknown key 'generater'"),
+        ("verify-t34", {"scenarios": {"count": 2, "peices": [3, 3], "kinds": "affine"}},
+         "scenarios: unknown key 'peices'"),
+        ("psi", {"schedules": {"dleta": [0.1]}}, "schedules: unknown key 'dleta'"),
+        ("fixpoint", {"schedules": {"t_grid": {"count": 8, "mx": 1.0}}},
+         "schedules.t_grid: unknown key 'mx'"),
+        ("continuity", {"sample": {"cont": 3}}, "sample: unknown key 'cont'"),
+        # A JSON integer too large for a float.
+        ("verify-t34", {"space": {"dimension": 1, "generator": [[10 ** 400, 1.0]]}},
+         "space: ddf JSON entry 0: int too large to convert to float"),
+        # Refusals that TestConfigFuzz reaches only for some of its draws.
+        ("verify-t34", {"space": {"dimension": 1, "generator": [["x", 1.0]]}},
+         "ddf JSON entry 0: could not convert"),
+        ("psi", {"map": {"domain": [0.0, 1.0], "pieces": [
+            {"from": 0.0, "to": 1.0, "closed": "left", "affine": [math.nan, 0.5]}]}},
+         "piece field slope must be finite"),
+        ("psi", {"map": {"domain": [0.0, 1.0], "pieces": []}}, "map needs at least one piece"),
+        ("psi", {"map": {"sampled": {"box": [[1.0, 0.0]], "resolution": 0.5, "images": [[0.5]]}}},
+         "box must be nondegenerate"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):
@@ -569,7 +615,7 @@ class TestExitCodes:
 # The subcommand each shipped config is written for.
 CONFIG_COMMANDS = {"jump": "verify-t34", "batch": "verify-t34", "sampled": "verify-t34",
                    "simple": "check-axioms"}
-BAD_VALUES = [-1, 0, math.nan, "x", [], {}, 10 ** 13]
+BAD_VALUES = [-1, 0, math.nan, "x", [], {}, 10 ** 13, math.inf]
 
 
 def field_paths(obj, path=()):

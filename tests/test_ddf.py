@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (cums_loop, ddf_pointwise_max, dyadic_ddf,
+from helpers import (canonical_ddf_ref, cums_loop, ddf_pointwise_max, dyadic_ddf,
                      left_limit_of_infimum_loop, leq_witness_loop, pointwise_min_curve,
                      sibley_scan)
-from pnkit import (Ddf, InvalidArgumentError, ddf_leq, ddf_leq_witness,
-                   left_limit_of_infimum, make_epsilon, sibley_distance)
+from pnkit import (Ddf, InvalidArgumentError, TNormKind, ddf_leq, ddf_leq_witness,
+                   left_limit_of_infimum, make_epsilon, sibley_distance, tau_apply)
 from pnkit.ddf import VALUE_TOL, comparison_probes
 
 
@@ -385,3 +385,71 @@ class TestSerialization:
             Ddf.from_json('{"a": 1}')
         with pytest.raises(InvalidArgumentError):
             Ddf.from_json("[[1.0, 0.0]]")
+
+
+def outcome(construct, pairs):
+    """construct(pairs), or the message it raises."""
+    try:
+        return construct(pairs)
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+def canonical_form(F: Ddf) -> tuple[tuple, bytes, bytes]:
+    return F.jumps, F._locs.tobytes(), F._cums.tobytes()
+
+
+@st.composite
+def raw_jump_lists(draw):
+    """Unsorted jump lists with repeated locations and knots 0.9e-12 and
+    1.1e-12 apart, whose masses sum to within 1e-12 of 1 or just past it;
+    now and then with one invalid entry."""
+    loc = draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0]))
+    locs = []
+    for _ in range(draw(st.integers(1, 8))):
+        loc += draw(st.sampled_from([0.0, 0.9e-12, 1.1e-12, 0.25]))
+        locs.append(loc)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(locs), max_size=len(locs)))
+    total = draw(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 5e-13, 1.0 + 1e-12, 1.0 + 2e-12]))
+    pairs = list(zip(draw(st.permutations(locs)), [m / math.fsum(raw) * total for m in raw]))
+    bad = draw(st.sampled_from([None, None, None, (-1e-300, 0.1), (0.5, 0.0), (0.5, -0.1),
+                                (math.inf, 0.1), (math.nan, 0.1), (0.5, math.nan)]))
+    if bad is not None:
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    return pairs
+
+
+class TestOnePassConstruction:
+    """The constructor gives the former two-pass construction's jumps,
+    arrays and messages bit for bit (`helpers.canonical_ddf_ref`), on raw
+    lists and on every list the producers hand it."""
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(pairs=raw_jump_lists())
+    def test_raw_lists_match_the_two_pass_form(self, pairs):
+        assert outcome(lambda p: canonical_form(Ddf(p)), pairs) == outcome(canonical_ddf_ref, pairs)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(family=near_tolerance_family(), seed=st.integers(0, 2 ** 32 - 1),
+           c=st.sampled_from([1e-3, 0.5, 1.0 + 2.0 ** -52, 3.0, 1e12]))
+    def test_producer_lists_match_the_two_pass_form(self, family, seed, c):
+        rng = np.random.default_rng(seed)
+        family = family + [dyadic_ddf(rng)]
+        seen = []
+        post_init = Ddf.__post_init__
+
+        def recording(self):
+            seen.append(self.jumps)
+            post_init(self)
+            seen.append(canonical_form(self))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Ddf, "__post_init__", recording)
+            for kind in TNormKind:
+                tau_apply(kind, family[0], family[-1])
+            left_limit_of_infimum(family)
+            for F in family:
+                F.scale_locations(c)
+        assert len(seen) >= 2 * (len(TNormKind) + 1 + len(family))
+        for raw, got in zip(seen[::2], seen[1::2]):
+            assert got == canonical_ddf_ref(raw)

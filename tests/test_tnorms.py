@@ -10,7 +10,7 @@ from helpers import (brute_force_tau_curve, ddf_pointwise_max, dyadic_ddf,
 from pnkit import (Ddf, InvalidArgumentError, TNormKind, check_tnorm_axioms,
                    ddf_leq, make_epsilon, sibley_distance, tau_apply,
                    tnorm_apply)
-from pnkit.tnorms import MAX_PAIR_SUMS
+from pnkit.tnorms import MAX_PAIR_SUMS, tnorm_apply_np
 
 ALL_KINDS = (TNormKind.W, TNormKind.PROD, TNormKind.M)
 
@@ -60,6 +60,14 @@ class TestTnormApply:
         rng = np.random.default_rng(3)
         for a in rng.uniform(0.0, 1.0, 100):
             assert tnorm_apply(TNormKind.PROD, float(a), 1.0) == float(a)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_scalar_form_equals_the_array_form(self, kind):
+        grid = [0.0, -0.0, 2.0 ** -30, 0.1, 0.3, 0.5, 0.7, 1.0 - 2.0 ** -53, 1.0]
+        a, b = np.meshgrid(grid, grid)
+        table = tnorm_apply_np(kind, a, b)
+        for (i, j), value in np.ndenumerate(table):
+            assert tnorm_apply(kind, a[i, j], b[i, j]) == value
 
     def test_rejects_an_unknown_kind(self):
         with pytest.raises(InvalidArgumentError, match="unknown t-norm kind 'X'"):

@@ -1,7 +1,7 @@
 """Statements inside the library's functions that neither the test suite
 nor the benchmark workloads run.
 
-    PYTHONPATH=src python3 tools/uncovered.py
+    python3 tools/uncovered.py
 
 Runs the tier-1 suite in this process under `sys.settrace` (and
 `threading.settrace`, for threads the code starts), then one pass over
@@ -83,6 +83,7 @@ def run_workloads() -> None:
 
 
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))  # this tree's pnkit, ahead of any installed one
     import pytest
 
     executed: dict[str, set[int]] = {}
