@@ -34,8 +34,8 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_
                       lattice_nodes)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import VerifyResult, verify_approx_fixed_point
-from .neighborhoods import (PointSet, _probe_shape, default_tprime_schedule, prob_diameter,
-                            strong_t_continuity_test)
+from .neighborhoods import (PointSet, _probe_shape, _threshold, default_tprime_schedule,
+                            prob_diameter, strong_t_continuity_test)
 from .pn_space import DEFAULT_LAMBDAS, PnSpace, check_axioms, random_vector_pairs
 from .tnorms import MAX_PAIR_SUMS, TNormKind, tau_apply
 
@@ -92,8 +92,12 @@ class ScenarioFamily:
         _check_keys("scenarios", obj, [f.name for f in fields(cls)])
         convs = {"count": int, "pieces": lambda v: _pair(v, int), "values": _pair,
                  "kind": lambda v: v, "domain": _pair}
-        return cls(**{key: _convert(f"scenarios.{key}", conv, obj[key])
-                      for key, conv in convs.items() if key in obj})
+        kwargs = {key: _convert(f"scenarios.{key}", conv, obj[key])
+                  for key, conv in convs.items() if key in obj}
+        try:
+            return cls(**kwargs)
+        except OverflowError as exc:  # a piece count beyond the float range
+            raise InvalidArgumentError(f"scenarios.pieces: {exc}") from exc
 
 
 def _convert(field: str, conv, value):
@@ -189,7 +193,7 @@ def _parse_t_grid(obj) -> tuple[float, ...]:
         if not 1 <= n <= MAX_GRID_NODES:
             raise InvalidArgumentError(
                 f"schedules.t_grid.count: must be in [1, {MAX_GRID_NODES}], got {n}")
-        tmax = float(obj.get("max", 1.0))
+        tmax = _convert("schedules.t_grid.max", float, obj.get("max", 1.0))
         obj = (k * tmax / n for k in range(1, n + 1))
     return _validate_ascending("schedules.t_grid", obj)
 
@@ -247,6 +251,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if "tprime" in sched:
             tprime = _validate_descending("schedules.tprime", sched["tprime"])
         t_grid = _parse_t_grid(sched.get("t_grid"))
+    except InvalidArgumentError:  # already names its field
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"schedules: {exc}") from exc
     if isinstance(mp, PiecewiseMap1D) or (mp is None and fam is not None):
@@ -399,7 +405,7 @@ def cmd_continuity(args) -> int:
     raw = cfg.raw
     if cfg.map is None:
         raise InvalidArgumentError("continuity needs a 'map' config entry")
-    t = _convert("t", float, raw.get("t", 0.5))
+    t = _convert("t", _threshold, raw.get("t", 0.5))
     sample_spec = raw.get("sample", {"count": 9})
     if not isinstance(sample_spec, dict):
         raise InvalidArgumentError("sample: must be an object")

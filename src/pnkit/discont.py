@@ -260,19 +260,20 @@ class PiecewiseMap1D:
         right = np.where((xs < hi) & (np.abs(right - left) > LIMIT_MERGE_TOL), right, left)
         return np.stack([left, right])[None].T
 
-    def sup_abs_on_interval(self, a: float, b: float) -> float:
-        """sup of |f| over the clipped interval [a, b]; exact because the
+    def sup_abs_on_interval(self, a, b) -> np.ndarray:
+        """sup of |f| over each clipped interval [a, b], broadcast over `a`
+        and `b` with one (intervals x pieces) work array; exact because the
         absolute value of an affine function peaks at segment endpoints."""
         lo, hi = self.domain
-        a, b = max(a, lo), min(b, hi)
-        if b < a:
+        a = np.maximum(np.asarray(a, dtype=float), lo)[..., None]
+        b = np.minimum(np.asarray(b, dtype=float), hi)[..., None]
+        if not np.all(a <= b):  # NaN fails too
             raise InvalidArgumentError("interval does not meet the domain")
-        best = 0.0
-        for p in self.pieces:
-            s, e = max(a, p.lo), min(b, p.hi)
-            if s <= e:
-                best = max(best, abs(p.value(s)), abs(p.value(e)))
-        return best
+        edges = np.concatenate(([lo], self._breaks_np, [hi]))
+        s, e = np.maximum(a, edges[:-1]), np.minimum(b, edges[1:])
+        ends = np.maximum(np.abs(self._slopes_np * s + self._icepts_np),
+                          np.abs(self._slopes_np * e + self._icepts_np))
+        return np.max(np.where(s <= e, ends, 0.0), axis=-1)
 
     def piece_fixed_points(self) -> tuple[float, ...]:
         """Exact fixed points of individual affine pieces that land in

@@ -8,16 +8,15 @@ point set is the left-continuous regularization of the pointwise infimum
 of the members' norm profiles -- a radius about the origin, not a
 pairwise spread; it is implemented exactly as defined.
 
-Continuity testing is a semi-decision.  The existential threshold  "some
-smaller neighborhood has a well-concentrated image" is scanned over a
-finite descending schedule; each point either receives a witness
-threshold or the scan is inconclusive (reported as such, never as
-disproof).  Neighborhood contents are approximated by a probe lattice.
-A diameter computed on a lattice subset can only overestimate the true
-concentration, so lattice witnesses are confirmed against the exact
-interval-image bound whenever the generator is a single step (the
-image supremum over the ball is an exact finite computation; the gate to
-single steps is kept, so other generators keep the lattice evidence).
+The continuity scan looks for the existential threshold  "some smaller
+neighborhood has a well-concentrated image" on a finite descending
+schedule; each point either receives a witness threshold or the scan is
+inconclusive (reported as such, never as disproof).  A piecewise map is
+decided exactly under every generator: the image supremum over the
+closed ball is a finite computation.  The closed ball is conservative,
+since it refuses a ball whose boundary sits exactly on a jump.  A
+sampled map's neighborhoods are approximated by a probe lattice, and
+its scan remains a semi-decision.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ from .pn_space import (PnSpace, Vector, as_vector, in_neighborhood, level_locati
                        profile_at, vec_norms)
 from .tnorms import TNormKind
 
-# Largest probe lattice of the continuity scan, and largest product of
-# threshold levels x probe lattice points x generator jumps it takes on;
-# so its (levels x points) work arrays of floats stay within 128 MB.
+# Largest probe lattice of the continuity scan, and largest work array it
+# takes on (levels x probe points x generator jumps, and levels x pieces of
+# a piecewise map); so its work arrays of floats stay within 128 MB.
 MAX_PROBE_BUDGET = 1 << 16
 MAX_SCAN_CELLS = 1 << 24
 
@@ -65,10 +64,11 @@ class PointSet:
 
 
 def _threshold(t) -> float:
-    """A neighborhood threshold as a float, refused unless positive."""
+    """A neighborhood threshold as a float, refused unless 1 - t < 1 (so
+    t > 2**-54), the bound under which the centre is its own member."""
     t = float(t)
-    if not (t > 0.0):
-        raise InvalidArgumentError(f"threshold must be positive, got {t!r}")
+    if not (1.0 - t < 1.0):  # NaN fails too
+        raise InvalidArgumentError(f"threshold must exceed 2**-54 (1 - t < 1), got {t!r}")
     return t
 
 
@@ -126,8 +126,9 @@ def default_tprime_schedule(t: float) -> tuple[float, ...]:
 
 def _probe_shape(space: PnSpace, m, levels: int, budget: int, name: str) -> tuple[int, ...]:
     """The probe lattice shape of a continuity scan, refused before anything
-    is allocated when `budget` is out of range or the work array would pass
-    MAX_SCAN_CELLS for a `levels`-level threshold schedule called `name`."""
+    is allocated when `budget` is out of range or a work array would pass
+    MAX_SCAN_CELLS for a `levels`-level threshold schedule called `name`;
+    for both map kinds, though only a sampled map's scan builds the lattice."""
     if not 1 <= budget <= MAX_PROBE_BUDGET:
         raise InvalidArgumentError(
             f"probe_budget must be in [1, {MAX_PROBE_BUDGET}], got {budget!r}")
@@ -138,58 +139,55 @@ def _probe_shape(space: PnSpace, m, levels: int, budget: int, name: str) -> tupl
         raise InvalidArgumentError(
             f"{name}: {levels} levels x {points} probe points x {len(space.generator.jumps)} "
             f"generator jumps is {cells} cells, more than MAX_SCAN_CELLS={MAX_SCAN_CELLS}")
+    if isinstance(m, PiecewiseMap1D) and levels * len(m.pieces) > MAX_SCAN_CELLS:
+        raise InvalidArgumentError(
+            f"{name}: {levels} levels x {len(m.pieces)} map pieces is "
+            f"{levels * len(m.pieces)} cells, more than MAX_SCAN_CELLS={MAX_SCAN_CELLS}")
     return shape
-
-
-def _exact_ball_confirmation(space: PnSpace, pw: PiecewiseMap1D, p: float,
-                             tprime: float, t: float) -> bool:
-    # The t'-neighborhood is the ball of radius t' / a(t'), the whole
-    # domain when a(t') = 0, and the image supremum over it is exact.
-    a = level_location(space, tprime)
-    lo, hi = (p - tprime / a, p + tprime / a) if a > 0.0 else pw.domain
-    return bool(in_neighborhood(space, pw.sup_abs_on_interval(lo, hi), t))
 
 
 def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: float,
                              tprime_schedule: Sequence[float] | None = None,
                              probe_budget: int = 512) -> ContinuityReport:
-    """Scan a descending threshold schedule for image-concentration
-    witnesses at each sample point.
+    """Scan a descending threshold schedule for the first t' whose strong
+    t'-neighborhood of each sample point has an image with diameter value
+    above 1 - t at t.
 
-    A witness at threshold t' certifies that the image of the probed
-    neighborhood has diameter value above 1 - t at t.  When the
-    generator is a single step and the map is piecewise-affine, lattice
-    witnesses are confirmed against the exact ball-image bound before
-    being reported; otherwise the lattice evidence stands on its own.
+    A piecewise map is decided exactly under every generator, with no
+    probe lattice: the neighborhood is the closed ball of radius
+    t' / a(t') (the whole domain when a(t') = 0), conservative in that it
+    refuses a ball whose boundary sits exactly on a jump.  A sampled map's
+    neighborhoods are probed with a lattice of `probe_budget` points, and
+    its scan remains a semi-decision.
     """
     t = _threshold(t)
     schedule = _validate_descending("threshold schedule", tprime_schedule
                                     if tprime_schedule is not None else default_tprime_schedule(t))
     if domain_sample.dimension != m.dim or m.dim != space.dimension:
         raise InvalidArgumentError("sample, map, and space dimensions must agree")
-
-    lattice = lattice_nodes(m.box, _probe_shape(space, m, len(schedule), probe_budget,
-                                                "threshold schedule"))
-    image_norms = vec_norms(m.eval_points(lattice))
-    sample_norms = vec_norms(m.eval_points(domain_sample.points))
-    tprimes = np.array(schedule)[:, None]
-    exact_route = isinstance(m, PiecewiseMap1D) and len(space.generator.jumps) == 1
+    shape = _probe_shape(space, m, len(schedule), probe_budget, "threshold schedule")
+    tprimes = np.array(schedule)
+    exact = isinstance(m, PiecewiseMap1D)
+    if exact:
+        values = m._domain_xs(domain_sample.points)  # the points' coordinates
+        with np.errstate(divide="ignore"):  # a(t') = 0 gives the whole domain
+            radii = tprimes / level_location(space, tprimes)
+    else:
+        lattice = lattice_nodes(m.box, shape)
+        image_norms = vec_norms(m.eval_points(lattice))
+        values = vec_norms(m.eval_points(domain_sample.points))  # their image norms
 
     entries = []
-    for p, p_norm in zip(domain_sample.points, sample_norms):
-        # Row k: the lattice points inside the t'_k-neighborhood of p.  The
-        # image diameter of those points and p is the profile of the
-        # largest image norm among them.
-        members = in_neighborhood(space, vec_norms(lattice - p), tprimes)
-        worst = np.max(np.where(members, image_norms, 0.0), axis=1, initial=0.0)
-        worst = np.maximum(worst, p_norm)
-        concentrated = in_neighborhood(space, worst, t)
-        witness = None
-        for tprime, ok in zip(schedule, concentrated):
-            if ok and (not exact_route or _exact_ball_confirmation(space, m, p[0], tprime, t)):
-                witness = tprime
-                break
-        entries.append(ContinuityWitness(point=p, witness_tprime=witness))
+    for p, v in zip(domain_sample.points, values):
+        # Row k: the largest image norm over the t'_k-neighborhood of p:
+        # exact on the closed ball, else over p and the lattice points inside.
+        if exact:
+            worst = m.sup_abs_on_interval(v - radii, v + radii)
+        else:
+            members = in_neighborhood(space, vec_norms(lattice - p), tprimes[:, None])
+            worst = np.max(np.where(members, image_norms, 0.0), axis=1, initial=v)
+        ok = in_neighborhood(space, worst, t)
+        entries.append(ContinuityWitness(p, schedule[np.argmax(ok)] if ok.any() else None))
     return ContinuityReport(t=t, entries=tuple(entries))
 
 

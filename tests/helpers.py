@@ -232,8 +232,17 @@ def pointwise_min_curve(fns, xs: np.ndarray) -> np.ndarray:
     return np.min(vals, axis=0)
 
 
-def exact_ball_confirmation_ref(space, pw: PiecewiseMap1D, p: float,
-                                tprime: float, t: float) -> bool:
+def sup_abs_ref(pw: PiecewiseMap1D, a: float, b: float) -> float:
+    """Reference `sup_abs_on_interval` for one interval, piece by piece:
+    the largest |f| at the ends of each piece clipped to [a, b]."""
+    lo, hi = pw.domain
+    a, b = max(a, lo), min(b, hi)
+    return max(abs(p.value(x)) for p in pw.pieces if max(a, p.lo) <= min(b, p.hi)
+               for x in (max(a, p.lo), min(b, p.hi)))
+
+
+def step_ball_confirmation_ref(space, pw: PiecewiseMap1D, p: float,
+                               tprime: float, t: float) -> bool:
     """Reference exact ball check for a single-step generator at location
     g, read off the step itself: the t'-neighborhood is the ball of radius
     t' / g (everything when g == 0 or t' > 1), and the image supremum s
@@ -245,13 +254,30 @@ def exact_ball_confirmation_ref(space, pw: PiecewiseMap1D, p: float,
         return True
     if tprime > 1.0:
         lo, hi = pw.domain
-        sup = pw.sup_abs_on_interval(lo, hi)
+        sup = sup_abs_ref(pw, lo, hi)
     else:
         r = tprime / g_loc
-        sup = pw.sup_abs_on_interval(p - r, p + r)
+        sup = sup_abs_ref(pw, p - r, p + r)
     if t > 1.0:
         return True
     return g_loc * sup < t
+
+
+def exact_ball_confirmation_ref(space, pw: PiecewiseMap1D, p: float,
+                                tprime: float, t: float) -> bool:
+    """Reference exact ball check for any generator, read off its jump
+    list: a(t') is the location of the first jump whose running mass
+    passes 1 - t' (0 when 1 - t' < 0, +inf when none does), the
+    t'-neighborhood is the closed ball of radius t' / a(t') (the whole
+    domain when a(t') == 0), and the image supremum s over it is
+    concentrated when the profile of s exceeds 1 - t at t."""
+    a = 0.0
+    if 1.0 - tprime >= 0.0:
+        a = next((loc for (loc, _), cum in zip(space.generator.jumps,
+                                                cums_loop(space.generator)[1:])
+                  if cum > 1.0 - tprime), math.inf)
+    lo, hi = pw.domain if a == 0.0 else (p - tprime / a, p + tprime / a)
+    return prob_norm(space, (sup_abs_ref(pw, lo, hi),)).eval(t) > 1.0 - t
 
 
 def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> list:
@@ -262,12 +288,12 @@ def continuity_scan_oracle(space, m, points, t: float, probe_budget: int) -> lis
     The members at t' are the lattice points whose difference profile
     from p exceeds 1 - t' at t'; t' is a witness when the profile of the
     largest image among the members and p exceeds 1 - t at t.  The probe
-    lattice is the library's own; the exact ball bound for single-step
-    generators on piecewise maps is `exact_ball_confirmation_ref`."""
+    lattice is the library's own.  On a piecewise map, under every
+    generator, a witness must also pass `exact_ball_confirmation_ref`."""
     schedule = default_tprime_schedule(t)
     shape = _probe_shape(space, m, len(schedule), probe_budget, "threshold schedule")
     lattice = [tuple(float(c) for c in q) for q in lattice_nodes(m.box, shape)]
-    exact_route = isinstance(m, PiecewiseMap1D) and len(space.generator.jumps) == 1
+    exact_route = isinstance(m, PiecewiseMap1D)
     out = []
     for p in points:
         witness = None

@@ -532,6 +532,25 @@ class TestExitCodes:
         ("psi", {"map": {"domain": [0.0, 1.0], "pieces": []}}, "map needs at least one piece"),
         ("psi", {"map": {"sampled": {"box": [[1.0, 0.0]], "resolution": 0.5, "images": [[0.5]]}}},
          "box must be nondegenerate"),
+        # A piece count too large for a float, and schedule errors that name
+        # their field once.
+        ("verify-t34", {"scenarios": {"count": 2, "pieces": [1, 10 ** 400]}},
+         "scenarios.pieces: int too large to convert to float"),
+        ("verify-t34", {"schedules": {"t_grid": [0.5, 0.25]}},
+         "cfg.json: schedules.t_grid must be strictly ascending"),
+        ("psi", {"schedules": {"t_grid": {"count": math.inf}}},
+         "cfg.json: schedules.t_grid.count: cannot convert float infinity"),
+        ("fixpoint", {"schedules": {"t_grid": {"count": 8, "max": "x"}}},
+         "cfg.json: schedules.t_grid.max: could not convert"),
+        # A threshold for which 1 - t rounds to 1.
+        ("continuity", {"t": 1e-20}, "t: threshold must exceed 2**-54"),
+        # Threshold levels x map pieces over MAX_SCAN_CELLS on a piecewise map.
+        ("continuity", {"map": {"domain": [0.0, 1.0], "pieces": [
+            {"from": k / 4097, "to": (k + 1) / 4097, "closed": "left", "affine": [0.0, 0.5]}
+            for k in range(4097)]},
+                        "schedules": {"tprime": [0.5 * 0.999 ** k for k in range(4096)]},
+                        "probe_budget": 1},
+         "schedules.tprime: 4096 levels x 4097 map pieces is 16781312 cells"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):

@@ -23,7 +23,7 @@ from pnkit.discont import (DEFAULT_T_GRID, MAX_GRID_NODES, hull_distances, map_e
 
 from helpers import (convex_hull_ref, dyadic_ddf, estimator_levels_oracle,
                      hull_distances_pairwise, piecewise_limit_values_ref, planar_hull_oracle,
-                     sampled_eval_oracle, sampled_limit_values_ref)
+                     sampled_eval_oracle, sampled_limit_values_ref, sup_abs_ref)
 
 
 def jump_map() -> PiecewiseMap1D:
@@ -123,12 +123,31 @@ class TestEvaluation:
         m = PiecewiseMap1D(domain=(0.0, 1.0),
                            pieces=(Piece(0.0, 0.5, "left", -1.0, 0.5),
                                    Piece(0.5, 1.0, "left", 1.0, -0.5)))
-        assert m.sup_abs_on_interval(0.0, 1.0) == 0.5
+        assert m.sup_abs_on_interval(np.array(0.0), np.array(1.0)) == 0.5
+        assert m.sup_abs_on_interval(0.4, 0.6).shape == ()
         assert m.sup_abs_on_interval(0.4, 0.6) == pytest.approx(0.1, abs=1e-15)
+
+    def test_sup_abs_broadcasts_over_intervals(self):
+        # Rows a = -1 (clipped to 0), the jump at 0.5 and 0.6; columns b.
+        # A closed interval that ends on the jump holds both one-sided values.
+        got = jump_map().sup_abs_on_interval(np.array([[-1.0], [0.5], [0.6]]), np.array([0.6, 0.9]))
+        assert got.tolist() == [[0.6, 0.6], [0.6, 0.6], [0.2, 0.2]]
+        assert jump_map().sup_abs_on_interval(0.5, 0.5) == 0.6
+
+    def test_sup_abs_equals_the_piece_loop(self):
+        # Interval ends drawn on breakpoints, domain ends and beyond them too.
+        rng = np.random.default_rng(11)
+        for kind in ("constant", "affine"):
+            for m in generate_scenarios(ScenarioFamily(count=20, pieces=(1, 6), kind=kind), 5):
+                ends = np.concatenate([rng.uniform(-0.2, 1.2, 40), m.breakpoints, [0.0, 1.0]])
+                a, b = np.sort(rng.choice(ends, (2, 60)), axis=0)
+                a, b = a[(b >= 0.0) & (a <= 1.0)], b[(b >= 0.0) & (a <= 1.0)]
+                assert m.sup_abs_on_interval(a, b).tolist() == \
+                    [sup_abs_ref(m, float(x), float(y)) for x, y in zip(a, b)]
 
     def test_sup_abs_rejects_an_interval_outside_the_domain(self):
         with pytest.raises(InvalidArgumentError, match="interval does not meet the domain"):
-            jump_map().sup_abs_on_interval(2.0, 3.0)
+            jump_map().sup_abs_on_interval(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
 
     def test_piece_fixed_points(self):
         flip = PiecewiseMap1D(domain=(0.0, 1.0), pieces=(Piece(0.0, 1.0, "left", -1.0, 1.0),))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import (continuity_scan_oracle, dyadic_ddf, exact_ball_confirmation_ref,
-                     pointwise_min_curve)
+from helpers import (continuity_scan_oracle, dyadic_ddf, pointwise_min_curve,
+                     step_ball_confirmation_ref)
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, Piece, PnSpace,
                    PointSet, TNormKind,
                    check_pairwise_image_separation, constant_map, ddf_leq,
@@ -15,7 +15,6 @@ from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, Piece, PnSpace,
                    strong_t_continuity_test)
 from pnkit.cli import ScenarioFamily, generate_scenarios
 from pnkit.ddf import GENERATOR_MASS_TOL
-from pnkit.neighborhoods import _exact_ball_confirmation
 
 thresholds = st.one_of(st.floats(min_value=1e-15, max_value=3.0),
                        st.sampled_from([0.5, 1.0, float(np.nextafter(1.0, 2.0)), 2.0]))
@@ -56,6 +55,15 @@ class TestStrongNeighborhood:
         sp = PnSpace(dimension=1)
         with pytest.raises(InvalidArgumentError):
             in_strong_neighborhood(sp, (0.0,), 0.0, (0.1,))
+
+    def test_center_is_a_member_down_to_the_threshold_bound(self):
+        # 1 - 2**-54 rounds to 1, so no point, not even p, would be a member.
+        sp = PnSpace(dimension=2)
+        p = (0.3, -0.4)
+        assert in_strong_neighborhood(sp, p, 2.0 ** -53, p)
+        for t in (2.0 ** -54, -1.0, float("nan")):
+            with pytest.raises(InvalidArgumentError, match=r"threshold must exceed 2\*\*-54"):
+                in_strong_neighborhood(sp, p, t, p)
 
     def test_nested_in_threshold(self):
         sp = PnSpace(dimension=1)
@@ -214,8 +222,49 @@ class TestContinuityScan:
         assume(1.0 - t < sp.generator.total_mass and 1.0 - tprime < sp.generator.total_mass)
         m = generate_scenarios(ScenarioFamily(count=1, pieces=(1, 4), kind=kind), seed)[0]
         p = float(np.random.default_rng(seed).uniform(*m.domain))
-        assert (_exact_ball_confirmation(sp, m, p, tprime, t)
-                is exact_ball_confirmation_ref(sp, m, p, tprime, t))
+        report = strong_t_continuity_test(sp, m, PointSet(((p,),)), t, tprime_schedule=(tprime,))
+        assert ((report.entries[0].witness_tprime == tprime)
+                is step_ball_confirmation_ref(sp, m, p, tprime, t))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["constant", "affine"]),
+           jumps=st.integers(1, 3), t=st.one_of(st.floats(min_value=0.05, max_value=1.5),
+                                                st.sampled_from([0.25, 0.5, 1.0])))
+    def test_piecewise_scan_matches_the_oracle_under_every_generator(self, seed, kind, jumps, t):
+        # Sample points on breakpoints and the right domain end as well: a
+        # closed ball about a breakpoint holds both one-sided values.
+        rng = np.random.default_rng(seed)
+        sp = PnSpace(dimension=1, generator=dyadic_ddf(rng, max_jumps=jumps, full_mass=True))
+        m = generate_scenarios(ScenarioFamily(count=1, pieces=(1, 4), kind=kind),
+                               int(rng.integers(2 ** 31)))[0]
+        points = tuple((x,) for x in (*m.breakpoints[:2], m.domain[1],
+                                      float(rng.uniform(*m.domain))))
+        report = strong_t_continuity_test(sp, m, PointSet(points), t, probe_budget=25)
+        assert [e.witness_tprime for e in report.entries] == \
+            continuity_scan_oracle(sp, m, points, t, probe_budget=25)
+
+    @pytest.mark.parametrize("generator, witnesses", [
+        (((1.5, 1.0),), [None, 2.0 ** -10]),
+        (((1.5, 0.5), (2.5, 0.5)), [None, 2.0 ** -9]),
+    ])
+    def test_a_ball_about_a_jump_is_refused_under_every_generator(self, generator, witnesses):
+        # Every ball about 0.3 holds points with |f| = 0.6, above t / a(t)
+        # (1/3 and 0.2); 512 lattice probes missed them under the 2-jump generator.
+        sp = PnSpace(dimension=1, generator=Ddf(generator))
+        m = PiecewiseMap1D(domain=(0.0, 1.0), pieces=(Piece(0.0, 0.3, "left", 0.0, 0.6),
+                                                       Piece(0.3, 1.0, "left", 0.0, 0.1)))
+        report = strong_t_continuity_test(sp, m, PointSet(((0.3,), (0.301,))), 0.5,
+                                          probe_budget=512)
+        assert [e.witness_tprime for e in report.entries] == witnesses
+        assert not report.passed
+
+    def test_piecewise_scan_builds_no_lattice(self, monkeypatch):
+        import pnkit.neighborhoods as nb
+        m = constant_map((0.0, 1.0), 0.1)
+        monkeypatch.setattr(nb, "lattice_nodes", None)
+        monkeypatch.setattr(PiecewiseMap1D, "eval_points", None)
+        report = strong_t_continuity_test(PnSpace(dimension=1), m, PointSet(((0.5,),)), 0.5)
+        assert report.passed
 
 
 class TestPairwiseSeparation:

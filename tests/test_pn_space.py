@@ -167,7 +167,12 @@ class TestNeighborhoodRule:
         sp, ts, _ = case
         p, q = (tuple(data.draw(st.lists(coords, min_size=sp.dimension, max_size=sp.dimension)))
                 for _ in range(2))
-        for t in ts[ts > 0.0]:
+        # Thresholds where 1 - t rounds to 1 (0 and below 2**-54 among them) are refused.
+        for t in ts:
+            if not 1.0 - t < 1.0:
+                with pytest.raises(InvalidArgumentError, match="threshold must exceed"):
+                    in_strong_neighborhood(sp, p, t, q)
+                continue
             want = bool(profile_at(sp, vec_norm(np.subtract(p, q)), t) > 1.0 - t)
             assert in_strong_neighborhood(sp, p, t, q) is want
 

@@ -11,8 +11,9 @@ equals the working tree's; the script warns when it does not.
 For each end-to-end metric of BENCHMARK.json it prints each side's
 median and quartiles (`statistics.quantiles(values, n=4)`) and the
 number of pairs in which the working tree read better (ties count for
-neither side), then `correct`, `failed` and whether `report_sha256`
-was equal in every pair.
+neither side), then a verdict read with the metric's `bound` and
+`better` (see `verdict`); last `correct`, `failed` and whether
+`report_sha256` was equal in every pair.
 """
 
 from __future__ import annotations
@@ -56,6 +57,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
+def verdict(base: list[float], head: list[float], bound: float, better: str) -> str:
+    """One metric's reading over paired runs, the first that applies:
+
+      * `worse`: the head median is worse than the base median by more
+        than `bound` (relative to the base median);
+      * `unresolved`: the base quartiles span more than `bound` of the base
+        median, and not every head run beats every base run;
+      * `gain`: the head wins at least 9 in 10 pairs (ties count for
+        neither side) and its median is better by more than the base's
+        q3 - q1;
+      * `within bound`.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    (q1, bmed, q3), (_, hmed, _) = quartiles(base), quartiles(head)
+    ahead = sign * (bmed - hmed)
+    wins = sum(sign * (b - h) > 0 for b, h in zip(base, head))
+    if -ahead > bound * abs(bmed):
+        return "worse"
+    if q3 - q1 > bound * abs(bmed) and not max(sign * h for h in head) < min(sign * b for b in base):
+        return "unresolved"
+    if wins >= 0.9 * len(base) and ahead > q3 - q1:
+        return "gain"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
@@ -65,8 +91,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {name: m["better"] for name, m in metrics.items()}
 
     base_runs, head_runs = [], []
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
@@ -98,6 +124,7 @@ def main(argv=None) -> int:
         print(f"  {name:18s} base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
               f"head {hmed:.6g} [{hq1:.6g}, {hq3:.6g}]  {change:+.1%}  "
               f"head better in {wins}/{args.pairs}  ({direction} is better)")
+        print(f"    verdict: {verdict(bv, hv, metrics[name]['bound'], direction)}")
     for label, runs in (("base", base_runs), ("head", head_runs)):
         print(f"  {label}: correct in {sum(r['correct'] for r in runs)}/{len(runs)} runs, "
               f"failed {sum(r['failed'] for r in runs)} of {sum(r['attempted'] for r in runs)}")
