@@ -80,7 +80,8 @@ class ScenarioFamily:
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise InvalidArgumentError(f"domain must be a nondegenerate interval, got {self.domain!r}")
-        if phi * MIN_BREAK_SEPARATION > (hi - lo):
+        # A piece count beyond the float range is refused, naming the field.
+        if _convert("scenarios.pieces", float, phi) * MIN_BREAK_SEPARATION > (hi - lo):
             raise InvalidArgumentError(
                 f"{phi} pieces cannot keep separation {MIN_BREAK_SEPARATION} "
                 f"inside a domain of width {hi - lo}")
@@ -94,10 +95,7 @@ class ScenarioFamily:
                  "kind": lambda v: v, "domain": _pair}
         kwargs = {key: _convert(f"scenarios.{key}", conv, obj[key])
                   for key, conv in convs.items() if key in obj}
-        try:
-            return cls(**kwargs)
-        except OverflowError as exc:  # a piece count beyond the float range
-            raise InvalidArgumentError(f"scenarios.pieces: {exc}") from exc
+        return cls(**kwargs)
 
 
 def _convert(field: str, conv, value):

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -352,7 +353,9 @@ def convex_hull(values):
     returns the closed interval (min, max) in 1-d and the counter-clockwise
     vertex tuple, by Andrew's monotone chain, in 2-d.
     """
-    pts = np.asarray(values.values if isinstance(values, LimitSet) else list(values), dtype=float)
+    if isinstance(values, LimitSet):
+        values = values.values
+    pts = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=float)
     if pts.size == 0:
         raise InvalidArgumentError("cannot take the hull of an empty set")
     pts = pts.reshape(len(pts), -1)
@@ -729,6 +732,14 @@ def _largest_gaps(space: PnSpace, images: np.ndarray, step: float,
     return [float(np.max(gaps[row])) if np.any(row) else None for row in admitted]
 
 
+def _caller_stacklevel() -> int:
+    """`warnings.warn`'s stacklevel, for its caller, of the first frame outside pnkit."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def discontinuity_estimate(space: PnSpace, m, *,
                            delta_schedule: Sequence[float] = DEFAULT_DELTA_SCHEDULE,
                            grid_resolutions: Sequence[float] = DEFAULT_GRID_RESOLUTIONS
@@ -763,7 +774,7 @@ def discontinuity_estimate(space: PnSpace, m, *,
             if gap is None:
                 warnings.warn(
                     f"delta={delta} admits no lattice neighbors at grid step; level skipped",
-                    RuntimeWarning, stacklevel=2)
+                    RuntimeWarning, stacklevel=_caller_stacklevel())
                 levels.append(RefinementLevel(h, delta, None))
                 continue
             if level_gap_prev is not None and gap > level_gap_prev + MONOTONE_SLACK:

@@ -27,7 +27,9 @@ Residual profiles are ordered by the displacement |f(p) - p| (see
 and checks dominance on the winner by exact step-function comparison.
 
 `verify_approx_fixed_point` runs both searches and the inequality chain
-between them on one map and returns a `VerifyResult`: the typed results
+between them on one map, all reading one (candidates, images, limit
+values) triple; the limit values come after the dominance search, whose
+error thus comes first.  It returns a `VerifyResult`: the typed results
 themselves, which the CLI writes as CSV curves, and `to_json_obj()`, the
 scenario entry of a `pnkit verify-t34` report.
 """
@@ -90,29 +92,19 @@ class KakutaniResult:
                 "distance": self.distance}
 
 
-def _search_step(m, h: float) -> float:
-    """The one grid step a search scans: h, or a sampled map's lattice step."""
+def _search_grid(m, h: float) -> tuple[float, np.ndarray]:
+    """The step of the one grid a search scans, h or a sampled map's
+    lattice step, and the grid's candidates."""
     h = float(h)
     if not (h > 0.0 and math.isfinite(h)):
         raise InvalidArgumentError(f"grid resolution must be positive, got {h!r}")
-    return m.grids((h,))[0]
+    h = m.grids((h,))[0]
+    return h, m.candidates(h)
 
 
-def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointReport:
-    """Scan the candidate set for the point of least displacement and
-    check that its residual profile dominates `psi`.
-
-    When `psi` comes from the exact route a dominating candidate must
-    exist among the candidates of the one grid searched, so a miss
-    raises with the failing report attached.
-    """
-    h = _search_step(m, h)
-    if m.dim != space.dimension:
-        raise InvalidArgumentError("map and space dimensions must agree")
-
-    cands = m.candidates(h)
-    diffs = m.eval_points(cands) - cands
-    disp = vec_norms(diffs)
+def _dominance(space: PnSpace, psi: Ddf, cands, images) -> FixPointReport:
+    """`find_approx_fixed_point` on the candidates and their images."""
+    disp = vec_norms(images - cands)
     i = int(np.argmin(disp))  # ties resolve to the first candidate in order
     residual = norm_profile(space, float(disp[i]))
     margin, _ = ddf_leq_witness(psi, residual)
@@ -127,15 +119,8 @@ def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointRe
     return report
 
 
-def kakutani_search(m, h: float) -> KakutaniResult:
-    """Find the first candidate of least distance to the convex hull of
-    its own limit values, on the one grid searched: step h, or the
-    lattice of a sampled map.  That step is the tolerance: existence is
-    guaranteed, so a best distance above it raises.
-    """
-    h = _search_step(m, h)
-    cands = m.candidates(h)
-    limits = m.limit_values(cands)
+def _nearest_own_hull(cands, limits, h: float) -> tuple[int, KakutaniResult]:
+    """`kakutani_search` on the candidates and their limit values, with the winner's row."""
     i, dist = nearest_to_hull(cands, limits)
     best = KakutaniResult(point=tuple(cands[i].tolist()), hull=convex_hull(limits[i]),
                           distance=dist)
@@ -144,7 +129,31 @@ def kakutani_search(m, h: float) -> KakutaniResult:
             f"no candidate within {h!r} of its own limit hull "
             f"(best distance {dist!r} at {best.point!r})",
             report=best)
-    return best
+    return i, best
+
+
+def find_approx_fixed_point(space: PnSpace, m, psi: Ddf, h: float) -> FixPointReport:
+    """Scan the candidate set for the point of least displacement and
+    check that its residual profile dominates `psi`.
+
+    When `psi` comes from the exact route a dominating candidate must
+    exist among the candidates of the one grid searched, so a miss
+    raises with the failing report attached.
+    """
+    h, cands = _search_grid(m, h)
+    if m.dim != space.dimension:
+        raise InvalidArgumentError("map and space dimensions must agree")
+    return _dominance(space, psi, cands, m.eval_points(cands))
+
+
+def kakutani_search(m, h: float) -> KakutaniResult:
+    """Find the first candidate of least distance to the convex hull of
+    its own limit values, on the one grid searched: step h, or the
+    lattice of a sampled map.  That step is the tolerance: existence is
+    guaranteed, so a best distance above it raises.
+    """
+    h, cands = _search_grid(m, h)
+    return _nearest_own_hull(cands, m.limit_values(cands), h)[1]
 
 
 @dataclass(frozen=True)
@@ -200,25 +209,27 @@ def verify_approx_fixed_point(space: PnSpace, m, *,
 
     for every t in the grid, where far is the largest |f(p*) - q| over
     the limit values q (profile(far) is the least of their profiles) and
-    d is the hull distance of p*.  Both searches use the finest of
-    `grid_resolutions`; anomalies in them propagate as exceptions.
+    d is the hull distance of p*.  Both searches scan the grid of the
+    finest of `grid_resolutions` and the chain reads p*'s row of it;
+    anomalies in the searches propagate as exceptions.
     """
     t_grid = _validate_ascending("t_grid", t_grid)
     grid_resolutions = _validate_descending("grid_resolutions", grid_resolutions)
+    # Also refuses a map of another dimension than the space's.
     psi, estimate = discontinuity_measure(space, m, delta_schedule=delta_schedule,
                                           grid_resolutions=grid_resolutions)
-    h = float(min(grid_resolutions))
-    fp = find_approx_fixed_point(space, m, psi, h)
-    kk = kakutani_search(m, h)
+    h, cands = _search_grid(m, min(grid_resolutions))
+    images = m.eval_points(cands)
+    fp = _dominance(space, psi, cands, images)
+    limits = m.limit_values(cands)
+    i, kk = _nearest_own_hull(cands, limits, h)
 
     # The least limit profile is the farthest limit value's.  Only the upper
     # link takes the hull distance d as slack: |f(p) - p| <= max_q |f(p) - q|
     # + dist(p, co Q), by the triangle inequality and convexity of the norm.
     ts = np.array(t_grid)
-    p = np.array(kk.point)[None]
-    fk = m.eval_points(p)
-    far = float(np.max(vec_norms(fk - m.limit_values(p)[0])))
-    norms = [[vec_norms(fk[0] - p[0])], [far + kk.distance], [far]]
+    far = float(np.max(vec_norms(images[i] - limits[i])))
+    norms = [[vec_norms(images[i] - cands[i])], [far + kk.distance], [far]]
     residual, mid, least = profile_at(space, norms, ts)
     upper = residual - mid
     lower = least - psi.eval_many(ts)

@@ -132,7 +132,7 @@ def profile_at(space: PnSpace, norms, t) -> np.ndarray:
     broadcast over `norms` and `t`: the generator mass whose scaled
     location a * r lies strictly below t, and the unit step at 0 where
     r == 0 (1 for every t > 0)."""
-    r, t = np.broadcast_arrays(np.asarray(norms, dtype=float), np.asarray(t, dtype=float))
+    r, t = np.asarray(norms, dtype=float), np.asarray(t, dtype=float)
     gen = space.generator
     below = np.count_nonzero(r[..., None] * gen._locs < t[..., None], axis=-1)
     return np.where(r == 0.0, (t > 0.0).astype(float), gen._cums[below])

@@ -461,6 +461,30 @@ def kakutani_loop_search(pw: PiecewiseMap1D, h: float) -> KakutaniResult:
     return best
 
 
+def profile_at_ref(space, norms, t) -> np.ndarray:
+    """`profile_at` with both arguments first broadcast to one shape by
+    `np.broadcast_arrays`: the reference for its shape, dtype and values."""
+    r, t = np.broadcast_arrays(np.asarray(norms, dtype=float), np.asarray(t, dtype=float))
+    gen = space.generator
+    below = np.count_nonzero(r[..., None] * gen._locs < t[..., None], axis=-1)
+    return np.where(r == 0.0, (t > 0.0).astype(float), gen._cums[below])
+
+
+def verify_chain_ref(space, m, psi: Ddf, kk: KakutaniResult, t_grid) -> tuple[float, ...]:
+    """(worst_t, residual_minus_mid_min, mid_minus_psi_min) of the chain at
+    the hull point p* = kk.point, with the map and its limit values
+    evaluated again at p* and the profiles taken by `profile_at_ref`."""
+    ts = np.array(t_grid)
+    p = np.array(kk.point)[None]
+    fk = m.eval_points(p)
+    far = float(np.max(vec_norms(fk - m.limit_values(p)[0])))
+    norms = [[vec_norms(fk[0] - p[0])], [far + kk.distance], [far]]
+    residual, mid, least = profile_at_ref(space, norms, ts)
+    upper, lower = residual - mid, least - psi.eval_many(ts)
+    return (float(ts[np.argmin(np.minimum(upper, lower))]), float(np.min(upper)),
+            float(np.min(lower)))
+
+
 def _cross_exact(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

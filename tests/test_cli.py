@@ -95,6 +95,11 @@ class TestScenarioGeneration:
         with pytest.raises(InvalidArgumentError):
             ScenarioFamily(count=1, pieces=(1, 200), domain=(0.0, 1.0))
 
+    def test_a_piece_count_beyond_the_float_range_is_refused(self):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^scenarios\.pieces: int too large to convert to float$"):
+            ScenarioFamily(count=1, pieces=(1, 10 ** 400))
+
 
 class TestSubcommands:
     def test_tau_prints_summed_step(self, capsys):

@@ -15,7 +15,7 @@ from pnkit import (Ddf, InvalidArgumentError, LimitSet, Piece, PiecewiseMap1D, P
                    SampledMap, compare_discontinuity_routes, constant_map,
                    convex_hull, discontinuity_estimate, discontinuity_exact,
                    left_limit_of_infimum, limit_set, make_epsilon, prob_norm,
-                   sibley_distance)
+                   sibley_distance, verify_approx_fixed_point)
 from pnkit.cli import ScenarioFamily, generate_scenarios
 from pnkit import discont
 from pnkit.discont import (DEFAULT_T_GRID, MAX_GRID_NODES, hull_distances, map_eval_vec,
@@ -205,6 +205,19 @@ class TestConvexHull:
             hull = np.array(convex_hull([tuple(x) for x in pts]))
             dist = hull_distances(pts, np.broadcast_to(hull, (len(pts),) + hull.shape))
             assert np.all(dist == 0.0)
+
+    def test_an_array_of_1_vectors_reads_as_its_list_form(self):
+        rng = np.random.default_rng(7)
+        cases = ([np.array([[-0.0], [0.0]]), np.array([[0.0], [-0.0]]),
+                  jump_map().limit_values([[0.5], [0.25]])[0]]      # a slot-major row
+                 + [rng.uniform(-1.0, 1.0, (k, 1)) for k in range(1, 9)])
+        for pts in cases:
+            got, want = convex_hull(pts), convex_hull(list(pts))
+            assert got == want
+            assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+        # Python's min and max keep the first of equal values; numpy's need not.
+        assert [math.copysign(1.0, v) for v in convex_hull(cases[0])] == [-1.0, -1.0]
+        assert [math.copysign(1.0, v) for v in convex_hull(cases[1])] == [1.0, 1.0]
 
     def test_three_dimensional_points_rejected(self):
         with pytest.raises(InvalidArgumentError, match="dimension 1 and 2 only"):
@@ -605,6 +618,15 @@ class TestEstimator:
                                          delta_schedule=(0.1, 1e-5),
                                          grid_resolutions=(1.0 / 64,))
         assert any(lv.largest_pair_gap is None for lv in est.levels)
+
+    def test_skipped_level_warning_names_the_caller(self, unit_space):
+        m = SampledMap.from_function(lambda p: (0.6,) if p[0] < 0.5 else (0.2,),
+                                     ((0.0, 1.0),), 1.0 / 64)
+        for call in (discontinuity_estimate, verify_approx_fixed_point):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                call(unit_space, m, delta_schedule=(0.1, 1e-5), grid_resolutions=(1.0 / 64,))
+            assert [w.filename for w in rec] == [__file__], call.__name__
 
     def test_all_levels_skipped_is_an_error(self, unit_space):
         with pytest.raises(InvalidArgumentError), pytest.warns(RuntimeWarning):

@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from pnkit import (InvalidArgumentError, Piece, PiecewiseMap1D,
                    SampledMap, TheoremViolationError, constant_map, ddf_leq,
-                   discontinuity_exact, find_approx_fixed_point,
+                   discontinuity_exact, discontinuity_measure, find_approx_fixed_point,
                    kakutani_search, make_epsilon, sibley_distance,
                    verify_approx_fixed_point)
 from pnkit.cli import ScenarioFamily, generate_scenarios, load_config
 from pnkit.ddf import Ddf
+from pnkit.fixpoint import FixPointReport
 from pnkit.pn_space import PnSpace, vec_norm
 
-from helpers import dominance_candidate_oracle, kakutani_loop_search, sampled_eval_oracle
+from helpers import (dominance_candidate_oracle, kakutani_loop_search, sampled_eval_oracle,
+                     verify_chain_ref)
+from test_contract import generators, self_maps
 
 H = 1.0 / 1024
 
@@ -191,6 +194,90 @@ def two_region_map(seed: int, side: int, kind: str) -> SampledMap:
     return SampledMap.from_function(fn, ((0.0, 1.0), (0.0, 1.0)), 1.0 / (side - 1))
 
 
+def between_nodes_map() -> SampledMap:
+    """Every node maps to (0.2125, 0.5125) or (0.2225, 0.5125) on a 0.05
+    lattice of the unit square: the estimate jumps at 0.01, and the best
+    node, (0.2, 0.5), is 0.0177 from its image, so dominance fails."""
+    return SampledMap.from_function(
+        lambda p: (0.2125, 0.5125) if p[0] < 0.5 else (0.2225, 0.5125),
+        ((0.0, 1.0), (0.0, 1.0)), 0.05)
+
+
+def record_grid_calls(monkeypatch, cls) -> dict[str, list[np.ndarray]]:
+    """Wrap `cls.candidates`, `cls.eval_points` and `cls.limit_values` so
+    that each call appends its argument (the step, for `candidates`)."""
+    calls: dict[str, list[np.ndarray]] = {}
+    for name in ("candidates", "eval_points", "limit_values"):
+        def recorded(self, arg, _fn=getattr(cls, name), _log=calls.setdefault(name, [])):
+            _log.append(np.array(arg, dtype=float))
+            return _fn(self, arg)
+        monkeypatch.setattr(cls, name, recorded)
+    return calls
+
+
+class TestOneTriple:
+    """`verify_approx_fixed_point` builds the candidates, their images and
+    their limit values once, and reads both searches and the chain off
+    them; each must read as the public search or the re-evaluating chain."""
+
+    @pytest.mark.parametrize("m, dim", [(jump_map(), 1),
+                                        (two_region_map(0, 21, "constant"), 2)])
+    def test_the_triple_is_built_once(self, monkeypatch, m, dim):
+        h = m.grids((H,))[0]
+        cands = m.candidates(h)
+        calls = record_grid_calls(monkeypatch, type(m))
+        verify_approx_fixed_point(PnSpace(dimension=dim), m, grid_resolutions=(h,),
+                                  t_grid=tuple(k / 256 for k in range(1, 257)))
+        assert calls["candidates"] == [h]
+        # Past the one grid call each, only the exact route's breakpoint calls.
+        breaks = np.array(getattr(m, "breakpoints", ()), dtype=float)[:, None]
+        for name in ("eval_points", "limit_values"):
+            grid = [P for P in calls[name] if np.array_equal(P, cands)]
+            rest = [P for P in calls[name] if not np.array_equal(P, cands)]
+            assert len(grid) == 1, name
+            assert [P.tolist() for P in rest] == ([breaks.tolist()] if dim == 1 else []), name
+
+    def test_a_dominance_failure_raises_before_the_limit_values(self, monkeypatch):
+        space, m = PnSpace(dimension=2), between_nodes_map()
+        psi, _ = discontinuity_measure(space, m, grid_resolutions=(0.05,))
+        with pytest.raises(TheoremViolationError) as want:
+            find_approx_fixed_point(space, m, psi, 0.05)
+        calls = record_grid_calls(monkeypatch, SampledMap)
+        with pytest.raises(TheoremViolationError) as got:
+            verify_approx_fixed_point(space, m, grid_resolutions=(0.05,))
+        assert isinstance(got.value.report, FixPointReport)
+        assert (str(got.value), got.value.report) == (str(want.value), want.value.report)
+        assert calls["limit_values"] == []
+
+    @staticmethod
+    def assert_reads_the_searches(space, m, h, **kwargs):
+        """The verify result of `m` against the public searches and
+        `verify_chain_ref`."""
+        t_grid = tuple(k / 64 for k in range(1, 65))
+        r = verify_approx_fixed_point(space, m, grid_resolutions=(h,), t_grid=t_grid, **kwargs)
+        psi = r.fixpoint.psi
+        assert r.fixpoint == find_approx_fixed_point(space, m, psi, h)
+        assert r.kakutani == kakutani_search(m, h)
+        assert ((r.worst_t, r.residual_minus_mid_min, r.mid_minus_psi_min)
+                == verify_chain_ref(space, m, psi, r.kakutani, t_grid))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=self_maps(), gen=generators(), h=st.sampled_from([1 / 16, 1 / 64, 1 / 1024]))
+    def test_piecewise_maps_read_as_the_public_searches(self, m, gen, h):
+        self.assert_reads_the_searches(PnSpace(dimension=1, generator=gen), m, h)
+
+    # Generator locations in [0, 1]: delta = 0.4 then admits the axis
+    # neighbours of every lattice here, so the estimator always has a level.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 16), side=st.integers(6, 21),
+           kind=st.sampled_from(["constant", "affine"]),
+           gen=generators().map(lambda g: Ddf(tuple((a / 4, w) for a, w in g.jumps))))
+    def test_sampled_maps_read_as_the_public_searches(self, seed, side, kind, gen):
+        self.assert_reads_the_searches(PnSpace(dimension=2, generator=gen),
+                                       two_region_map(seed, side, kind), 1.0 / (side - 1),
+                                       delta_schedule=(0.4, 0.2, 0.1))
+
+
 class TestPlanarHullDistance:
     """Two-region maps on which a hull distance measured to the nearest
     hull vertex exhausted the search, or left the chain's upper link
@@ -261,13 +348,9 @@ class TestEndToEnd:
     @pytest.mark.xfail(strict=True, raises=TheoremViolationError,
                        reason="the dominance search scans the lattice nodes only")
     def test_sampled_fixed_point_between_nodes_is_found(self):
-        # Every node maps to (0.2125, 0.5125) or (0.2225, 0.5125): the
-        # estimate jumps at 0.01, and the best node, (0.2, 0.5), is 0.0177
-        # from its image.  Yet (0.2125, 0.5125) snaps to that node, so it is
-        # a fixed point of the map that eval_points evaluates.
-        m = SampledMap.from_function(
-            lambda p: (0.2125, 0.5125) if p[0] < 0.5 else (0.2225, 0.5125),
-            ((0.0, 1.0), (0.0, 1.0)), 0.05)
+        # (0.2125, 0.5125) snaps to the best node, (0.2, 0.5), whose image it
+        # is, so it is a fixed point of the map that eval_points evaluates.
+        m = between_nodes_map()
         fixed = np.array([[0.2125, 0.5125]])
         assert np.array_equal(m.eval_points(fixed), fixed)
         r = verify_approx_fixed_point(PnSpace(dimension=2), m, grid_resolutions=(0.05,))

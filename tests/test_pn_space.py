@@ -14,7 +14,7 @@ from pnkit.ddf import GENERATOR_MASS_TOL
 from pnkit.neighborhoods import in_strong_neighborhood
 from pnkit.pn_space import in_neighborhood, level_location, profile_at, vec_norm, vec_norms
 
-from helpers import dominance_loops
+from helpers import dominance_loops, profile_at_ref
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -203,6 +203,23 @@ class TestProfileCore:
         want = [[prob_norm(sp, (r,)).eval(t) for t in ts] for r in norms]
         assert got.shape == (3, 4)
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("norms, ts", [
+        (0.75, 0.5),                                        # scalars
+        (0.0, 0.5),
+        (0.0, 0.0),
+        ([0.0, 0.5, 2.0], 0.75),                            # a row of norms
+        (1.5, [0.0, 0.5, 1.0, 3.0]),                        # a row of thresholds
+        ([[0.0], [0.5], [2.0]], 0.75),                      # a column of norms
+        ([0.25, 1.0], [[0.0], [0.5], [1.5]]),               # a column of thresholds
+        ([[0.25], [0.0], [3.0]], np.arange(256) / 64),      # the chain's shape
+        ([[0.0], [0.0], [0.0]], np.arange(256) / 64),       # r == 0 rows
+    ])
+    def test_profile_at_broadcasts_as_broadcast_arrays_does(self, norms, ts):
+        sp = PnSpace(dimension=2, generator=Ddf(((0.5, 0.25), (1.0, 0.5), (2.0, 0.25))))
+        got, want = profile_at(sp, norms, ts), profile_at_ref(sp, norms, ts)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert np.array_equal(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
