@@ -32,7 +32,7 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_
                       _validate_ascending, _validate_descending, compare_discontinuity_routes,
                       discontinuity_estimate, discontinuity_exact, grid_node_count,
                       lattice_nodes)
-from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
+from .errors import InvalidArgumentError, PnkitError, TheoremViolationError, converted
 from .fixpoint import VerifyResult, verify_approx_fixed_point
 from .neighborhoods import (PointSet, _probe_shape, _threshold, default_tprime_schedule,
                             prob_diameter, strong_t_continuity_test)
@@ -81,7 +81,7 @@ class ScenarioFamily:
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise InvalidArgumentError(f"domain must be a nondegenerate interval, got {self.domain!r}")
         # A piece count beyond the float range is refused, naming the field.
-        if _convert("scenarios.pieces", float, phi) * MIN_BREAK_SEPARATION > (hi - lo):
+        if converted("scenarios.pieces", float, phi) * MIN_BREAK_SEPARATION > (hi - lo):
             raise InvalidArgumentError(
                 f"{phi} pieces cannot keep separation {MIN_BREAK_SEPARATION} "
                 f"inside a domain of width {hi - lo}")
@@ -93,18 +93,9 @@ class ScenarioFamily:
         _check_keys("scenarios", obj, [f.name for f in fields(cls)])
         convs = {"count": int, "pieces": lambda v: _pair(v, int), "values": _pair,
                  "kind": lambda v: v, "domain": _pair}
-        kwargs = {key: _convert(f"scenarios.{key}", conv, obj[key])
+        kwargs = {key: converted(f"scenarios.{key}", conv, obj[key])
                   for key, conv in convs.items() if key in obj}
         return cls(**kwargs)
-
-
-def _convert(field: str, conv, value):
-    """conv(value), failing with a validation error that names the field
-    (also where an integer field reads as an infinite float)."""
-    try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"{field}: {exc}") from exc
 
 
 def _check_keys(where: str, obj, known) -> None:
@@ -187,11 +178,11 @@ def _parse_t_grid(obj) -> tuple[float, ...]:
         return DEFAULT_T_GRID
     if isinstance(obj, dict):
         _check_keys("schedules.t_grid", obj, ("count", "max"))
-        n = _convert("schedules.t_grid.count", int, obj.get("count", 1024))
+        n = converted("schedules.t_grid.count", int, obj.get("count", 1024))
         if not 1 <= n <= MAX_GRID_NODES:
             raise InvalidArgumentError(
                 f"schedules.t_grid.count: must be in [1, {MAX_GRID_NODES}], got {n}")
-        tmax = _convert("schedules.t_grid.max", float, obj.get("max", 1.0))
+        tmax = converted("schedules.t_grid.max", float, obj.get("max", 1.0))
         obj = (k * tmax / n for k in range(1, n + 1))
     return _validate_ascending("schedules.t_grid", obj)
 
@@ -207,10 +198,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise InvalidArgumentError("config must be a JSON object")
     _check_keys("config", raw, CONFIG_KEYS)
     _check_keys("space", raw.get("space"), [f.name for f in fields(PnSpace)])
-    try:
-        space = PnSpace.from_json_obj(raw["space"]) if "space" in raw else PnSpace(dimension=1)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"space: {exc}") from exc
+    space = converted("space", PnSpace.from_json_obj, raw.get("space", {}))
     # N3 and N4 take tau of two scaled copies of the generator: n jumps
     # give n * n pair sums.
     n = len(space.generator.jumps)
@@ -219,12 +207,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"space.generator: {n} jumps need {n * n} pair sums, "
             f"more than MAX_PAIR_SUMS={MAX_PAIR_SUMS}")
 
-    mp = None
-    if "map" in raw:
-        try:
-            mp = _parse_map_spec(raw["map"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidArgumentError(f"map: {exc}") from exc
+    mp = converted("map", _parse_map_spec, raw["map"]) if "map" in raw else None
 
     fam = None
     if "scenarios" in raw:
@@ -232,7 +215,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     seed = raw.get("seed")
     if seed is not None:
-        seed = _convert("seed", int, seed)
+        seed = converted("seed", int, seed)
         if seed < 0:
             raise InvalidArgumentError(f"seed: must be nonnegative, got {seed}")
     if fam is not None and seed is None:
@@ -242,22 +225,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(sched, dict):
         raise InvalidArgumentError("schedules: must be an object")
     _check_keys("schedules", sched, ("delta", "grids", "tprime", "t_grid"))
-    try:
-        delta = _validate_descending("schedules.delta", sched.get("delta", DEFAULT_DELTA_SCHEDULE))
-        grids = _validate_descending("schedules.grids", sched.get("grids", DEFAULT_GRID_RESOLUTIONS))
-        tprime = None
-        if "tprime" in sched:
-            tprime = _validate_descending("schedules.tprime", sched["tprime"])
-        t_grid = _parse_t_grid(sched.get("t_grid"))
-    except InvalidArgumentError:  # already names its field
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"schedules: {exc}") from exc
+    delta = _validate_descending("schedules.delta", sched.get("delta", DEFAULT_DELTA_SCHEDULE))
+    grids = _validate_descending("schedules.grids", sched.get("grids", DEFAULT_GRID_RESOLUTIONS))
+    tprime = None
+    if "tprime" in sched:
+        tprime = _validate_descending("schedules.tprime", sched["tprime"])
+    t_grid = _parse_t_grid(sched.get("t_grid"))
     if isinstance(mp, PiecewiseMap1D) or (mp is None and fam is not None):
         # The searches build the grid of the finest step; a sampled map has
         # its lattice and no other grid.
         lo, hi = fam.domain if mp is None else mp.domain
-        _convert("schedules.grids", lambda h: grid_node_count(lo, hi, h), grids[-1])
+        converted("schedules.grids", lambda h: grid_node_count(lo, hi, h), grids[-1])
 
     for field in ("output", "output_csv"):
         if not isinstance(raw.get(field), (str, type(None))):
@@ -290,7 +268,7 @@ def load_config(path: str) -> ExperimentConfig:
 def parse_ddf_spec(spec: str) -> Ddf:
     """eps:A for a unit step, @path for a JSON file, else inline JSON."""
     if spec.startswith("eps:"):
-        return make_epsilon(_convert(f"d.d.f. spec {spec!r}", float, spec[4:]))
+        return make_epsilon(converted(f"d.d.f. spec {spec!r}", float, spec[4:]))
     if spec.startswith("@"):
         return Ddf.from_json(Path(spec[1:]).read_text())
     return Ddf.from_json(spec)
@@ -379,10 +357,10 @@ def cmd_check_axioms(args) -> int:
     cfg = load_config(args.config)
     raw = cfg.raw
     seed = cfg.seed if cfg.seed is not None else 0
-    lambdas = _convert("lambdas", lambda xs: tuple(float(x) for x in xs),
-                       raw.get("lambdas", DEFAULT_LAMBDAS))
-    pairs = _convert("pairs", lambda n: random_vector_pairs(cfg.space.dimension, int(n), seed),
-                     raw.get("pairs", 200))
+    lambdas = converted("lambdas", lambda xs: tuple(float(x) for x in xs),
+                        raw.get("lambdas", DEFAULT_LAMBDAS))
+    pairs = converted("pairs", lambda n: random_vector_pairs(cfg.space.dimension, int(n), seed),
+                      raw.get("pairs", 200))
     report = check_axioms(cfg.space, pairs, lambdas)
     _print_json(report.to_json_obj())
     return 0
@@ -393,7 +371,7 @@ def cmd_diameter(args) -> int:
     pts_raw = json.loads(args.points) if args.points else cfg.raw.get("points")
     if not pts_raw:
         raise InvalidArgumentError("diameter needs --points or a 'points' config entry")
-    A = PointSet(_convert("points", _points, pts_raw))
+    A = PointSet(converted("points", _points, pts_raw))
     print(prob_diameter(cfg.space, A).to_json())
     return 0
 
@@ -403,15 +381,15 @@ def cmd_continuity(args) -> int:
     raw = cfg.raw
     if cfg.map is None:
         raise InvalidArgumentError("continuity needs a 'map' config entry")
-    t = _convert("t", _threshold, raw.get("t", 0.5))
+    t = converted("t", _threshold, raw.get("t", 0.5))
     sample_spec = raw.get("sample", {"count": 9})
     if not isinstance(sample_spec, dict):
         raise InvalidArgumentError("sample: must be an object")
     _check_keys("sample", sample_spec, ("points", "count"))
     if "points" in sample_spec:
-        pts = _convert("sample.points", _points, sample_spec["points"])
+        pts = converted("sample.points", _points, sample_spec["points"])
     else:
-        n = _convert("sample.count", int, sample_spec.get("count", 9))
+        n = converted("sample.count", int, sample_spec.get("count", 9))
         dim = cfg.map.dim
         if not (n >= 1 and n ** dim <= MAX_GRID_NODES):
             raise InvalidArgumentError(
@@ -419,7 +397,7 @@ def cmd_continuity(args) -> int:
                 f"{MAX_GRID_NODES} lattice nodes, got {n}")
         pts = tuple(map(tuple, lattice_nodes(cfg.map.box, [n] * dim).tolist()))
     schedule = cfg.tprime_schedule or default_tprime_schedule(t)
-    probe_budget = _convert("probe_budget", int, raw.get("probe_budget", 512))
+    probe_budget = converted("probe_budget", int, raw.get("probe_budget", 512))
     _probe_shape(cfg.space, cfg.map, len(schedule), probe_budget, "schedules.tprime")
     report = strong_t_continuity_test(cfg.space, cfg.map, PointSet(pts), t,
                                       tprime_schedule=schedule, probe_budget=probe_budget)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, converted
 
 # Jump locations closer than this are merged at construction, and probe
 # logic treats knots within this distance as coincident.
@@ -183,10 +183,7 @@ class Ddf:
         for k, entry in enumerate(obj):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise InvalidArgumentError(f"ddf JSON entry {k} must be a [location, mass] pair")
-            try:
-                pairs.append((float(entry[0]), float(entry[1])))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidArgumentError(f"ddf JSON entry {k}: {exc}") from exc
+            pairs.append(converted(f"ddf JSON entry {k}", lambda e: tuple(map(float, e)), entry))
         for (a, _), (b, _) in zip(pairs, pairs[1:]):
             if b <= a:
                 raise InvalidArgumentError("ddf JSON locations must be strictly ascending")

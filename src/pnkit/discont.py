@@ -56,7 +56,7 @@ import numpy as np
 
 from .ddf import (DOMAIN_SLACK, FIXED_POINT_SLACK, HULL_PRUNE_SLACK, LIMIT_MERGE_TOL,
                   MONOTONE_SLACK, SAMPLED_IMAGE_SLACK, VALUE_TOL, Ddf, sibley_distance)
-from .errors import InvalidArgumentError, PnkitError
+from .errors import InvalidArgumentError, PnkitError, converted
 from .pn_space import PnSpace, Vector, as_vector, in_neighborhood, norm_profile, vec_norms
 
 # Largest node count of a grid of step h; a finer grid is refused before
@@ -308,15 +308,14 @@ class PiecewiseMap1D:
         dom = obj["domain"]
         if not isinstance(dom, (list, tuple)) or len(dom) != 2:
             raise InvalidArgumentError("map domain must be a [lo, hi] pair")
-        pieces = []
-        for k, entry in enumerate(obj["pieces"]):
-            try:
-                a, b = entry["affine"]
-                pieces.append(Piece(lo=entry["from"], hi=entry["to"],
-                                    closed=entry["closed"], slope=a, intercept=b))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise InvalidArgumentError(f"pieces[{k}]: {exc}") from exc
-        return cls(domain=(float(dom[0]), float(dom[1])), pieces=tuple(pieces))
+        pieces = tuple(converted(f"pieces[{k}]", _piece_from_json, entry)
+                       for k, entry in enumerate(converted("pieces", list, obj["pieces"])))
+        return cls(domain=converted("domain", lambda d: tuple(map(float, d)), dom), pieces=pieces)
+
+
+def _piece_from_json(entry: dict) -> Piece:
+    a, b = entry["affine"]
+    return Piece(lo=entry["from"], hi=entry["to"], closed=entry["closed"], slope=a, intercept=b)
 
 
 def constant_map(domain: tuple[float, float], value: float) -> PiecewiseMap1D:
@@ -597,12 +596,9 @@ class SampledMap:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SampledMap":
-        try:
-            return cls(box=tuple((float(a), float(b)) for a, b in obj["box"]),
-                       resolution=float(obj["resolution"]),
-                       images=obj["images"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"sampled map spec: {exc}") from exc
+        return converted("sampled map spec", lambda o: cls(
+            box=tuple((float(a), float(b)) for a, b in o["box"]),
+            resolution=float(o["resolution"]), images=o["images"]), obj)
 
 
 def map_eval_vec(m, p) -> Vector:
@@ -672,7 +668,7 @@ class DiscontinuityEstimate:
 def _validate_positive(name: str, values: Iterable[float]) -> tuple[tuple[float, ...], np.ndarray]:
     """`values` as a tuple of floats and as an array, refused unless they
     are nonempty, positive and finite."""
-    vals = tuple(map(float, values))
+    vals = converted(name, lambda vs: tuple(map(float, vs)), values)
     if not vals:
         raise InvalidArgumentError(f"{name} must be nonempty")
     arr = np.fromiter(vals, float, len(vals))

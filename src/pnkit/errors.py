@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one converter:
+every JSON spec field and schedule argument is read through `converted`,
+so a value that fails to convert raises an `InvalidArgumentError` whose
+message starts with the field's name (and the CLI exits 2)."""
 
 
 class PnkitError(Exception):
@@ -21,3 +24,13 @@ class TheoremViolationError(PnkitError, RuntimeError):
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+def converted(field: str, conv, value):
+    """conv(value), failing with an InvalidArgumentError that names the
+    field: a missing key, a wrong type, a bad value (a refusal that
+    `conv` raises itself included) or an integer too large for a float."""
+    try:
+        return conv(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(f"{field}: {exc}") from exc

@@ -170,7 +170,7 @@ def strong_t_continuity_test(space: PnSpace, m, domain_sample: PointSet, t: floa
     exact = isinstance(m, PiecewiseMap1D)
     if exact:
         values = m._domain_xs(domain_sample.points)  # the points' coordinates
-        with np.errstate(divide="ignore"):  # a(t') = 0 gives the whole domain
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite radius: the whole domain
             radii = tprimes / level_location(space, tprimes)
     else:
         lattice = lattice_nodes(m.box, shape)

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ddf import GENERATOR_MASS_TOL, VALUE_TOL, Ddf, ddf_leq_witness, make_epsilon
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, converted
 from .tnorms import TNormKind, tau_apply
 
 Vector = tuple[float, ...]
@@ -119,11 +119,8 @@ class PnSpace:
             raise InvalidArgumentError("space spec must be a JSON object")
         dim = obj.get("dimension", 1)
         gen = Ddf.from_json_obj(obj["generator"]) if "generator" in obj else make_epsilon(1.0)
-        try:
-            tau = TNormKind(obj.get("tau", "M"))
-            tau_star = TNormKind(obj.get("tau_star", "M"))
-        except ValueError as exc:
-            raise InvalidArgumentError(f"unknown t-norm tag in space spec: {exc}") from exc
+        tau = converted("tau", TNormKind, obj.get("tau", "M"))
+        tau_star = converted("tau_star", TNormKind, obj.get("tau_star", "M"))
         return cls(dimension=dim, generator=gen, tau=tau, tau_star=tau_star)
 
 

@@ -178,6 +178,17 @@ class TestSubcommands:
             for d in (0.05, 0.025, 0.0125, 0.00625, 0.003125)]
         assert ".py" not in err
 
+    def test_continuity_on_a_subnormal_generator_prints_no_warning(self, tmp_path, capsys):
+        # t' / a(t') overflows to an infinite radius: the whole-domain ball.
+        path = write_config(tmp_path, {"space": {"dimension": 1, "generator": [[1e-310, 1.0]]},
+                                       "t": 0.5, "sample": {"count": 3}})
+        assert main(["continuity", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "warning:" not in err
+        assert json.loads(out) == {
+            "pass": True, "t": 0.5,
+            "points": [{"p": [x], "witness_tprime": 0.5} for x in (0.0, 0.5, 1.0)]}
+
     def test_fixpoint_report_shape(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["fixpoint", "--config", str(path)]) == 0
@@ -556,6 +567,18 @@ class TestExitCodes:
                         "schedules": {"tprime": [0.5 * 0.999 ** k for k in range(4096)]},
                         "probe_budget": 1},
          "schedules.tprime: 4096 levels x 4097 map pieces is 16781312 cells"),
+        # Conversion errors that name their field: a schedule entry, a map
+        # domain bound and a sampled resolution.
+        ("fixpoint", {"schedules": {"delta": "abc"}},
+         "cfg.json: schedules.delta: could not convert string to float: 'a'"),
+        ("fixpoint", {"schedules": {"grids": [10 ** 400]}},
+         "cfg.json: schedules.grids: int too large to convert to float"),
+        ("psi", {"map": {"domain": [0.0, 10 ** 400], "pieces": [
+            {"from": 0.0, "to": 1.0, "closed": "left", "affine": [0.0, 0.5]}]}},
+         "cfg.json: map: domain: int too large to convert to float"),
+        ("psi", {"map": {"sampled": {"box": [[0.0, 1.0]], "resolution": 10 ** 400,
+                                     "images": [[0.5]]}}},
+         "cfg.json: map: sampled map spec: int too large to convert to float"),
     ])
     def test_malformed_field_is_validation_error(self, tmp_path, capsys, command,
                                                  overrides, field):

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnkit import (Ddf, InvalidArgumentError, LimitSet, Piece, PiecewiseMap1D, PnSpace,
-                   SampledMap, compare_discontinuity_routes, constant_map,
+                   PointSet, SampledMap, compare_discontinuity_routes, constant_map,
                    convex_hull, discontinuity_estimate, discontinuity_exact,
                    left_limit_of_infimum, limit_set, make_epsilon, prob_norm,
-                   sibley_distance, verify_approx_fixed_point)
+                   sibley_distance, strong_t_continuity_test, verify_approx_fixed_point)
 from pnkit.cli import ScenarioFamily, generate_scenarios
 from pnkit import discont
 from pnkit.discont import (DEFAULT_T_GRID, MAX_GRID_NODES, hull_distances, map_eval_vec,
@@ -826,3 +826,41 @@ class TestMapInterface:
         assert len(m.candidates(1.0 / (MAX_GRID_NODES - 1))) >= MAX_GRID_NODES
         with pytest.raises(InvalidArgumentError, match=f"needs {MAX_GRID_NODES + 1} nodes"):
             m.lattice_images(1.0 / MAX_GRID_NODES)
+
+
+PIECE = {"from": 0.0, "to": 1.0, "closed": "left", "affine": [0.0, 0.5]}
+HALF = constant_map((0.0, 1.0), 0.5)
+UNIT = PnSpace(dimension=1)
+
+
+class TestMalformedFieldsAreNamed:
+    """A value that fails to convert, in a JSON reader or a schedule
+    argument, raises an InvalidArgumentError that starts with its field
+    (`t_grid`'s cases are in test_fixpoint.py)."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: SampledMap.from_json_obj({"box": [[0.0, 1.0]], "resolution": 10 ** 400,
+                                           "images": [[0.5]]}),
+         "sampled map spec: int too large to convert to float"),
+        (lambda: SampledMap.from_json_obj({"box": [[0.0, 10 ** 400]], "resolution": 0.5,
+                                           "images": [[0.5]]}),
+         "sampled map spec: int too large to convert to float"),
+        (lambda: PiecewiseMap1D.from_json_obj({"domain": [0.0, 10 ** 400], "pieces": [PIECE]}),
+         "domain: int too large to convert to float"),
+        (lambda: PiecewiseMap1D.from_json_obj({"domain": [0.0, 1.0],
+                                               "pieces": [{**PIECE, "to": 10 ** 400}]}),
+         "pieces[0]: int too large to convert to float"),
+        (lambda: PiecewiseMap1D.from_json_obj({"domain": [0.0, 1.0], "pieces": 5}),
+         "pieces: 'int' object is not iterable"),
+        (lambda: PnSpace.from_json_obj({"tau": "Q"}), "tau: 'Q' is not a valid TNormKind"),
+        (lambda: discontinuity_estimate(UNIT, HALF, delta_schedule="ab"),
+         "delta_schedule: could not convert string to float: 'a'"),
+        (lambda: strong_t_continuity_test(UNIT, HALF, PointSet(((0.5,),)), 0.5,
+                                          tprime_schedule=["x"]),
+         "threshold schedule: could not convert string to float: 'x'"),
+    ], ids=["sampled-resolution", "sampled-box", "map-domain", "piece-end", "pieces-not-a-list",
+            "tau-tag", "delta-string", "tprime-string"])
+    def test_the_message_starts_with_the_field(self, call, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert str(info.value).startswith(message)

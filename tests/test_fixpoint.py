@@ -328,9 +328,11 @@ class TestEndToEnd:
         text = json.dumps(rep, sort_keys=True)
         assert json.loads(text) == rep
 
-    @pytest.mark.parametrize("t_grid", [(), (0.5, 0.25), (0.0, 0.5), (0.5, float("inf"))])
+    # The last three fail to convert, and name their field all the same.
+    @pytest.mark.parametrize("t_grid", [(), (0.5, 0.25), (0.0, 0.5), (0.5, float("inf")),
+                                        ["x"], 5, [10 ** 400]])
     def test_exact_route_keeps_the_t_grid_rule(self, unit_space, t_grid):
-        with pytest.raises(InvalidArgumentError, match="t_grid"):
+        with pytest.raises(InvalidArgumentError, match="^t_grid"):
             verify_approx_fixed_point(unit_space, jump_map(), t_grid=t_grid)
 
     def test_exact_route_checks_the_grid_schedule(self, unit_space):

@@ -1,6 +1,7 @@
 """Every name a pnkit module imports is used by that module, every
-name a pnkit module defines at its top level is used somewhere, and only
-`pn_space` decides strong-neighborhood membership."""
+name a pnkit module defines at its top level is used somewhere, only
+`pn_space` decides strong-neighborhood membership, and only `errors`
+turns a conversion error into a validation error."""
 
 import ast
 import re
@@ -109,3 +110,32 @@ def membership_comparisons(path: Path) -> list[str]:
 def test_only_pn_space_decides_neighborhood_membership():
     assert [hit for path in sorted(SRC.glob("*.py")) if path.name != "pn_space.py"
             for hit in membership_comparisons(path)] == []
+
+
+CONVERSION_ERRORS = {"KeyError", "TypeError", "ValueError", "OverflowError"}
+
+
+def conversion_handlers(source: str) -> list[int]:
+    """Lines of the `except` clauses in `source` that name a conversion
+    error, which `errors.converted` alone catches."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(t, "id", getattr(t, "attr", None)) in CONVERSION_ERRORS
+                   for t in types):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_conversion_handler():
+    source = ("try:\n    float(v)\nexcept (TypeError, OverflowError):\n    pass\n"
+              "try:\n    d[k]\nexcept builtins.KeyError as exc:\n    raise\n"
+              "try:\n    json.loads(s)\nexcept json.JSONDecodeError:\n    pass\n"
+              "try:\n    pass\nexcept:\n    pass\n")
+    assert conversion_handlers(source) == [3, 7]
+
+
+def test_only_errors_catches_conversion_errors():
+    assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+            for line in conversion_handlers(path.read_text())] == []

@@ -1,5 +1,7 @@
 """Tests for strong neighborhoods, diameter, and continuity testing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -127,6 +129,15 @@ class TestContinuityScan:
         report = strong_t_continuity_test(sp, m, sample, t=0.5)
         assert report.passed
         assert all(e.witness_tprime == 0.5 for e in report.entries)
+
+    def test_a_subnormal_generator_location_raises_no_warning(self):
+        # t' / a(t') overflows to an infinite radius: the whole-domain ball.
+        sp = PnSpace(dimension=1, generator=Ddf(((1e-310, 1.0),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = strong_t_continuity_test(sp, constant_map((0.0, 1.0), 0.5),
+                                              PointSet(((0.5,),)), t=0.5)
+        assert [e.witness_tprime for e in report.entries] == [0.5]
 
     def test_distant_constant_map_inconclusive(self):
         sp = PnSpace(dimension=1)
