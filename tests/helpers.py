@@ -21,8 +21,9 @@ import numpy as np
 
 from pnkit import (Ddf, InvalidArgumentError, PiecewiseMap1D, TheoremViolationError,
                    prob_norm)
-from pnkit.ddf import (KNOT_MERGE_TOL, LIMIT_MERGE_TOL, VALUE_TOL, _cluster_representatives,
-                       comparison_probes, ddf_leq_witness)
+from pnkit.ddf import (KNOT_MERGE_TOL, LIMIT_MERGE_TOL, VALUE_TOL, _cluster_probes,
+                       _cluster_representatives, _from_levels, comparison_probes,
+                       ddf_leq_witness)
 from pnkit.discont import convex_hull, lattice_nodes, map_eval_vec
 from pnkit.fixpoint import KakutaniResult
 from pnkit.neighborhoods import _probe_shape, default_tprime_schedule
@@ -195,6 +196,30 @@ def midpoint_scan_tau(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
             jumps.append((rep, v - prev))
             prev = v
     return Ddf(tuple(jumps))
+
+
+def counting_tau(kind: TNormKind, F: Ddf, G: Ddf) -> Ddf:
+    """Reference triangle function by the counting rule: the pairs sorted
+    by exact sum, and each clustered sum's level the running maximum over
+    the pairs whose key (the float sum, one step down where it was
+    rounded up) lies below its probe, counted by one binary search over
+    every key.  `tau_apply` reads the same count from the probe's own
+    and next cluster alone."""
+    if not F.jumps or not G.jumps:
+        return Ddf(())
+    a, b = F._locs[:, None], G._locs[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = a + b
+        b_part = sums - a
+        err = ((a - (sums - b_part)) + (b - b_part)).ravel()
+        sums = sums.ravel()
+        keys = np.where(err < 0.0, np.nextafter(sums, -np.inf), sums)
+    vals = tnorm_apply_np(kind, F._cums[1:, None], G._cums[None, 1:]).ravel()
+    order = np.lexsort((err, sums))
+    running = np.maximum.accumulate(vals[order])
+    reps, probes = _cluster_probes(sums[order].tolist())
+    below = np.searchsorted(keys[order], probes, side="left") - 1
+    return _from_levels(reps, np.where(below >= 0, running[below], 0.0).tolist())
 
 
 def leq_witness_loop(F: Ddf, G: Ddf) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -188,6 +189,22 @@ class TestSubcommands:
         assert json.loads(out) == {
             "pass": True, "t": 0.5,
             "points": [{"p": [x], "witness_tprime": 0.5} for x in (0.0, 0.5, 1.0)]}
+
+    def test_tau_of_overflowing_sums_prints_no_warning(self, capsys):
+        # Every pair sum overflows to +inf, so all mass sits at +inf.
+        assert main(["tau", "--tnorm", "Prod", "--f", "[[1e308,1]]", "--g", "[[1e308,1]]"]) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == ("[]\n", "")
+
+    def test_check_axioms_refuses_an_overflowing_profile_without_a_warning(self, tmp_path,
+                                                                           capsys):
+        path = write_config(tmp_path, {"space": {"dimension": 3, "generator": [[1.5e308, 1.0]]},
+                                       "pairs": 5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check-axioms", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: jump location must be finite and >= 0, got inf\n")
 
     def test_fixpoint_report_shape(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -1,5 +1,6 @@
 """Tests for simple spaces and the axiom checker."""
 
+import json
 import math
 import warnings
 
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from pnkit import (Ddf, InvalidArgumentError, PnSpace, TNormKind,
                    check_axioms, make_epsilon, prob_norm, random_vector_pairs)
-from pnkit.ddf import GENERATOR_MASS_TOL
+from pnkit import tnorms
+from pnkit.ddf import GENERATOR_MASS_TOL, _cluster_representatives
 from pnkit.neighborhoods import in_strong_neighborhood
-from pnkit.pn_space import in_neighborhood, level_location, profile_at, vec_norm, vec_norms
+from pnkit.pn_space import (DEFAULT_LAMBDAS, in_neighborhood, level_location, profile_at,
+                            vec_norm, vec_norms)
+from pnkit.tnorms import MAX_PAIR_SUMS
 
 from helpers import dominance_loops, profile_at_ref
 
@@ -27,6 +31,35 @@ def generators(draw) -> Ddf:
     weights = draw(st.lists(st.integers(1, 100), min_size=len(locs), max_size=len(locs)))
     total = sum(weights)
     return Ddf(tuple((loc, w / total) for loc, w in zip(locs, weights)))
+
+
+@st.composite
+def near_tolerance_generators(draw) -> Ddf:
+    """Full-mass generators of two to six knots 1.01e-12 to 4e-12 apart:
+    scaled down by a lambda split their knots merge, and scaled up their
+    pair sums chain past the 1e-12 tolerance."""
+    n = draw(st.integers(2, 6))
+    base = draw(st.floats(min_value=0.0, max_value=4.0))
+    step = draw(st.floats(min_value=1.01e-12, max_value=4e-12))
+    weights = draw(st.lists(st.integers(1, 100), min_size=n, max_size=n))
+    total = sum(weights)
+    return Ddf(tuple((base + k * step, w / total) for k, w in enumerate(weights)))
+
+
+@st.composite
+def sample_pairs(draw, dim: int) -> np.ndarray:
+    """Seeded sample pairs at one of three scales, with optional extras: a
+    null vector, a repeated pair and a negated pair (the last two tie)."""
+    pairs = random_vector_pairs(dim, draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16)))
+    pairs = pairs * draw(st.sampled_from([0.01, 1.0, 20.0]))
+    extras = draw(st.sets(st.sampled_from(["null", "repeat", "negate"])))
+    if "null" in extras:
+        pairs[0, 0] = 0.0
+    if "repeat" in extras:
+        pairs = np.concatenate((pairs, pairs[:1]))
+    if "negate" in extras:
+        pairs = np.concatenate((pairs, -pairs[:1]))
+    return pairs
 
 
 class TestConstruction:
@@ -313,6 +346,71 @@ class TestAxiomChecker:
         report = check_axioms(sp, pairs, lams)
         assert not report["N4"].passed
         n3, n4 = dominance_loops(sp, pairs, lams)
+        assert report["N3"].to_json_obj() == n3 and report["N4"].to_json_obj() == n4
+
+    @settings(max_examples=80, deadline=None)
+    @given(gen=st.one_of(near_tolerance_generators(), generators()), dim=st.integers(1, 3),
+           tau=st.sampled_from(TNormKind), tau_star=st.sampled_from(TNormKind),
+           lambdas=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.7]), max_size=3), data=st.data())
+    def test_batched_results_match_the_loops(self, gen, dim, tau, tau_star, lambdas, data):
+        # The whole JSON text, so a -0.0 or an int lambda would show.
+        # Lambdas 0 and 1 split off a zero norm; a repeated 0.5 ties.
+        sp = PnSpace(dimension=dim, generator=gen, tau=tau, tau_star=tau_star)
+        pairs = data.draw(sample_pairs(dim))
+        lams = (0.0, *lambdas, 0.5, 1, 0.5)
+        report = check_axioms(sp, pairs, lams)
+        n3, n4 = dominance_loops(sp, pairs, lams)
+        assert json.dumps(report["N3"].to_json_obj()) == json.dumps(n3)
+        assert json.dumps(report["N4"].to_json_obj()) == json.dumps(n4)
+
+    @pytest.mark.parametrize("step", [1.2e-12, 2e-12])
+    def test_chained_sums_and_merged_knots_take_the_fallbacks(self, monkeypatch, step):
+        # Norms near 3 put the knots 3.6e-12 to 6e-12 apart, and their pair
+        # sums chain past 1e-12; at lambda = 0.25 the knots merge.
+        gen = Ddf(tuple((1.0 + k * step, w) for k, w in enumerate((0.25, 0.125, 0.375, 0.25))))
+        sp = PnSpace(dimension=2, generator=gen, tau=TNormKind.PROD, tau_star=TNormKind.W)
+        pairs = random_vector_pairs(2, 2, seed=3)
+        lams = (0.0, 0.25, 0.5, 0.5, 1.0)
+        loops = []
+        monkeypatch.setattr(tnorms, "_cluster_representatives",
+                            lambda vals: loops.append(vals) or _cluster_representatives(vals))
+        report = check_axioms(sp, pairs, lams)
+        assert loops
+        assert any(len(prob_norm(sp, 0.25 * v).jumps) < 4 for v in pairs.reshape(-1, 2))
+        assert report["N4"].worst["lambda"] == 0.5
+        n3, n4 = dominance_loops(sp, pairs, lams)
+        assert report["N3"].to_json_obj() == n3 and report["N4"].to_json_obj() == n4
+
+    def test_more_lambdas_build_no_more_ddfs(self, monkeypatch):
+        built = []
+        post_init = Ddf.__post_init__
+        monkeypatch.setattr(Ddf, "__post_init__", lambda self: built.append(1) or post_init(self))
+        sp = PnSpace(dimension=3, generator=Ddf(((0.5, 0.25), (1.0, 0.5), (3.0, 0.25))),
+                     tau=TNormKind.W, tau_star=TNormKind.PROD)
+        pairs = random_vector_pairs(3, 4, seed=5)
+        counts = []
+        for lams in ((0.5,), DEFAULT_LAMBDAS):
+            built.clear()
+            check_axioms(sp, pairs, lams)
+            counts.append(len(built))
+        assert len(DEFAULT_LAMBDAS) == 11 and counts[1] <= counts[0]
+
+    def test_an_overflowing_sum_profile_is_refused_without_a_warning(self):
+        # Each sample profile is finite; the profile of p + q is not.
+        sp = PnSpace(dimension=1, generator=Ddf(((1e308, 1.0),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="^jump location must be finite"):
+                check_axioms(sp, [([0.9], [0.9])])
+
+    def test_an_oversized_generator_is_refused_unless_every_norm_is_zero(self):
+        n = 1025
+        assert n * n > MAX_PAIR_SUMS
+        sp = PnSpace(dimension=1, generator=Ddf(tuple((k + 1.0, 1.0 / n) for k in range(n))))
+        with pytest.raises(InvalidArgumentError, match="^tau_apply of 1025-jump and 1025-jump"):
+            check_axioms(sp, [([1.0], [2.0])], (0.5,))
+        report = check_axioms(sp, [([0.0], [0.0])], (0.0, 1.0))
+        n3, n4 = dominance_loops(sp, [([0.0], [0.0])], (0.0, 1.0))
         assert report["N3"].to_json_obj() == n3 and report["N4"].to_json_obj() == n4
 
     def test_empty_samples_rejected(self):

@@ -1,16 +1,18 @@
 """Tests for t-norms and the induced triangle functions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_force_tau_curve, ddf_pointwise_max, dyadic_ddf,
+from helpers import (brute_force_tau_curve, counting_tau, ddf_pointwise_max, dyadic_ddf,
                      midpoint_scan_tau, tnorm_axioms_loop)
 from pnkit import (Ddf, InvalidArgumentError, TNormKind, check_tnorm_axioms,
-                   ddf_leq, make_epsilon, sibley_distance, tau_apply,
+                   ddf_leq, ddf_leq_witness, make_epsilon, sibley_distance, tau_apply,
                    tnorm_apply)
-from pnkit.tnorms import MAX_PAIR_SUMS, tnorm_apply_np
+from pnkit.tnorms import MAX_PAIR_SUMS, dominance_rows, tnorm_apply_np
 
 ALL_KINDS = (TNormKind.W, TNormKind.PROD, TNormKind.M)
 
@@ -162,6 +164,47 @@ class TestTauMatchesMidpointScan:
         out = tau_apply(kind, F, G)
         assert len(out.jumps) > 32
         assert out.jumps == midpoint_scan_tau(kind, F, G).jumps
+
+
+class TestTauMatchesTheCountingRule:
+    """`tau_apply` against `counting_tau` where the midpoint scan cannot
+    go: knots near the float maximum, where midpoints overflow to +inf,
+    and adjacent floats above 8192, which lie more than 1e-12 apart."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(ALL_KINDS),
+           family=st.sampled_from(["near_max", "adjacent_floats"]))
+    def test_identical_jumps(self, seed, kind, family):
+        rng = np.random.default_rng(seed)
+        if family == "near_max":
+            F, G = (random_ddf(rng, int(rng.integers(1, 6))).scale_locations(5e307)
+                    for _ in range(2))
+        else:
+            ulp = np.spacing(8192.0)
+            F = Ddf(tuple((8192.0 + float(k) * ulp, 0.25) for k in rng.choice(40, 4, False)))
+            G = Ddf(tuple((float(k) * ulp * 0.75, 1 / 3) for k in rng.choice(40, 3, False)))
+        assert tau_apply(kind, F, G).jumps == counting_tau(kind, F, G).jumps
+
+    def test_a_sum_rounded_up_onto_the_next_cluster_counts_below_its_probe(self):
+        # The midpoint between two heads one float apart rounds up onto
+        # the second, where sums rounded up from below it still count.
+        F = Ddf(((8192.000000000007, 0.5), (8192.00000000007, 0.5)))
+        G = Ddf(((2.0463630789890885e-11, 1 / 3), (2.319211489520967e-11, 1 / 3),
+                 (2.4556356947869062e-11, 1 / 3)))
+        out = tau_apply(TNormKind.M, F, G)
+        assert out.jumps == midpoint_scan_tau(TNormKind.M, F, G).jumps
+        assert out.jumps == counting_tau(TNormKind.M, F, G).jumps
+
+
+class TestDominanceRows:
+    def test_a_probe_at_infinity_reads_past_every_knot(self):
+        # The midpoint of 9e307 and 1e308 overflows to +inf, and 1e308 + 1
+        # rounds back to 1e308: only the +inf probe reads both totals.
+        F, G, H = Ddf(((0.5, 0.25),)), make_epsilon(0.0), Ddf(((0.9e308, 0.5), (1.0e308, 0.5)))
+        gaps, xs = dominance_rows(TNormKind.M, *((D._locs[None], D._cums[None]) for D in (F, G, H)),
+                                  tau_below=False)
+        want = ddf_leq_witness(H, tau_apply(TNormKind.M, F, G))
+        assert (float(gaps[0]), float(xs[0])) == want == (0.75, math.inf)
 
 
 class TestPairSumBudget:
