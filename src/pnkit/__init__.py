@@ -15,7 +15,7 @@ from .discont import (DiscontinuityEstimate, LimitSet, Piece, PiecewiseMap1D,
                       discontinuity_exact, discontinuity_measure, limit_set)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError
 from .fixpoint import (FixPointReport, KakutaniResult, VerifyResult, find_approx_fixed_point,
-                       kakutani_search, verify_approx_fixed_point)
+                       kakutani_search, verify_approx_fixed_point, verify_batch)
 from .neighborhoods import (ContinuityReport, PairwiseReport, PointSet,
                             check_pairwise_image_separation,
                             default_tprime_schedule, in_strong_neighborhood,
@@ -40,7 +40,7 @@ __all__ = [
     "RouteComparison",
     "compare_discontinuity_routes",
     "FixPointReport", "KakutaniResult", "find_approx_fixed_point",
-    "kakutani_search", "verify_approx_fixed_point", "VerifyResult",
+    "kakutani_search", "verify_approx_fixed_point", "verify_batch", "VerifyResult",
     "PnkitError", "InvalidArgumentError", "TheoremViolationError",
 ]
 

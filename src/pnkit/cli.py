@@ -33,7 +33,7 @@ from .discont import (DEFAULT_DELTA_SCHEDULE, DEFAULT_GRID_RESOLUTIONS, DEFAULT_
                       discontinuity_estimate, discontinuity_exact, grid_node_count,
                       lattice_nodes)
 from .errors import InvalidArgumentError, PnkitError, TheoremViolationError, converted
-from .fixpoint import VerifyResult, verify_approx_fixed_point
+from .fixpoint import VerifyResult, verify_approx_fixed_point, verify_batch
 from .neighborhoods import (PointSet, _probe_shape, _threshold, default_tprime_schedule,
                             prob_diameter, strong_t_continuity_test)
 from .pn_space import DEFAULT_LAMBDAS, PnSpace, check_axioms, random_vector_pairs
@@ -184,7 +184,7 @@ def _parse_t_grid(obj) -> tuple[float, ...]:
                 f"schedules.t_grid.count: must be in [1, {MAX_GRID_NODES}], got {n}")
         tmax = converted("schedules.t_grid.max", float, obj.get("max", 1.0))
         obj = (k * tmax / n for k in range(1, n + 1))
-    return _validate_ascending("schedules.t_grid", obj)
+    return _validate_ascending("schedules.t_grid", obj)[0]
 
 
 def _parse_map_spec(obj) -> PiecewiseMap1D | SampledMap:
@@ -289,10 +289,8 @@ def run_verify(cfg: ExperimentConfig) -> tuple[dict, list[VerifyResult]]:
     else:
         maps = generate_scenarios(cfg.scenarios, cfg.seed)
 
-    results = [verify_approx_fixed_point(cfg.space, m, t_grid=cfg.t_grid,
-                                         delta_schedule=cfg.delta_schedule,
-                                         grid_resolutions=cfg.grid_resolutions)
-               for m in maps]
+    results = verify_batch(cfg.space, maps, t_grid=cfg.t_grid, delta_schedule=cfg.delta_schedule,
+                           grid_resolutions=cfg.grid_resolutions)
     report = {
         "config": cfg.raw,
         "scenarios": [dict(r.to_json_obj(), scenario_id=idx) for idx, r in enumerate(results)],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -73,13 +74,35 @@ def _cluster_representatives(sorted_vals: Sequence[float]) -> list[float]:
     return reps
 
 
-def _cluster_probes(knots: Iterable[float]) -> tuple[list[float], list[float]]:
-    """The cluster heads of `knots`, given in any order, and a probe right
-    of each: the midpoint to the next head, or one past the last.  A step
-    function whose knots all lie among `knots` is constant from just
-    after a head up to its probe, up to the cluster tolerance."""
-    reps = _cluster_representatives(sorted(knots))
-    return reps, [(a + b) / 2.0 for a, b in zip(reps, reps[1:])] + [r + 1.0 for r in reps[-1:]]
+def head_probes(heads: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """A probe right of each ascending cluster head, where `last` marks a
+    head that no head follows: between heads a and b, (a + b) / 2 where it
+    is finite, else a / 2 + b / 2; past a last head r, r + 1.0 where it
+    exceeds r, else the next float above r (from 2**53 on, r + 1.0 rounds
+    back to r).  A step function whose knots all lie among the clusters
+    is constant from just after a head up to its probe, up to the
+    cluster tolerance.
+
+    a / 2 + b / 2 is (a + b) / 2 bit for bit wherever that is finite:
+    halving is exact down to the smallest normal numbers, and a head below
+    them is absorbed into the next one, at least 1e-12, in both forms.  So
+    it is taken everywhere, and never overflows."""
+    probes = heads / 2.0
+    probes[:-1] += probes[1:]
+    tail = heads[last]
+    past = tail + 1.0
+    with np.errstate(over="ignore"):  # the float after the maximum is +inf
+        probes[last] = np.where(past > tail, past, np.nextafter(tail, np.inf))
+    return probes
+
+
+def _cluster_probes(knots: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The cluster heads of `knots`, given in any order, and the probe
+    right of each by `head_probes`."""
+    heads = np.array(_cluster_representatives(sorted(knots)), dtype=float)
+    last = np.zeros(len(heads), dtype=bool)
+    last[-1:] = True
+    return heads, head_probes(heads, last)
 
 
 def _from_levels(reps: Sequence[float], levels: Sequence[float]) -> "Ddf":
@@ -108,9 +131,14 @@ class Ddf:
     jumps: tuple[tuple[float, float], ...] = ()
     # The knot locations, and the value right of each knot after a
     # leading 0.0 for everything below the first: read-only arrays built
-    # once from the canonical jumps.
+    # once from the canonical jumps.  `eval_many` reads them through
+    # `_eval_locs` and `_eval_cums`, the same arrays with one more knot at
+    # the float maximum where the value reaches 1: past every finite
+    # point, so only +inf reads it.  `_locs` and `_cums` are views of those.
     _locs: np.ndarray = field(init=False, repr=False, compare=False)
     _cums: np.ndarray = field(init=False, repr=False, compare=False)
+    _eval_locs: np.ndarray = field(init=False, repr=False, compare=False)
+    _eval_cums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cleaned: list[tuple[float, float]] = []
@@ -134,14 +162,16 @@ class Ddf:
         total = math.fsum(masses)
         if total > 1.0 + VALUE_TOL:
             raise InvalidArgumentError(f"total jump mass {total!r} exceeds 1")
-        knots = np.array(locs, dtype=float)
+        knots = np.array([*locs, sys.float_info.max])
         # The running mass, clamped at 1 from the first sum that exceeds it.
-        cums = np.array([0.0, *accumulate(masses)])
+        cums = np.array([0.0, *accumulate(masses), 1.0])
         np.minimum(cums, 1.0, out=cums)
         knots.flags.writeable = cums.flags.writeable = False
         object.__setattr__(self, "jumps", tuple(zip(locs, masses)))
-        object.__setattr__(self, "_locs", knots)
-        object.__setattr__(self, "_cums", cums)
+        object.__setattr__(self, "_locs", knots[:-1])
+        object.__setattr__(self, "_cums", cums[:-1])
+        object.__setattr__(self, "_eval_locs", knots)
+        object.__setattr__(self, "_eval_cums", cums)
 
     @property
     def total_mass(self) -> float:
@@ -153,14 +183,11 @@ class Ddf:
         x = float(x)
         if math.isnan(x) or x < 0.0:
             raise InvalidArgumentError(f"evaluation point must be >= 0, got {x!r}")
-        if math.isinf(x):
-            return 1.0
         return float(self.eval_many(x))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized `eval` for finite nonnegative points (at +inf it
-        reads the total finite mass, where `eval` reads 1)."""
-        return self._cums[np.searchsorted(self._locs, xs, side="left")]
+        """Vectorized `eval` for nonnegative points, 1 at +inf included."""
+        return self._eval_cums[np.searchsorted(self._eval_locs, xs, side="left")]
 
     def scale_locations(self, c: float) -> "Ddf":
         """The function x -> F(x / c): every jump location scaled by c > 0."""
@@ -215,8 +242,17 @@ def comparison_probes(*fns: Ddf) -> list[float]:
     everywhere iff they agree on these probes; regions narrower than the
     cluster tolerance are deliberately invisible.
     """
-    reps, probes = _cluster_probes(loc for F in fns for loc, _ in F.jumps)
-    return sorted(reps + probes) if reps else [1.0]
+    return _comparison_probes(fns).tolist()
+
+
+def _comparison_probes(fns: Sequence[Ddf]) -> np.ndarray:
+    """`comparison_probes` as an ascending array: each head, then its probe."""
+    heads, probes = _cluster_probes(loc for F in fns for loc in F._locs.tolist())
+    if not len(heads):
+        return np.ones(1)
+    xs = np.empty(2 * len(heads))
+    xs[0::2], xs[1::2] = heads, probes
+    return xs
 
 
 def ddf_leq_witness(F: Ddf, G: Ddf) -> tuple[float, float]:
@@ -225,11 +261,10 @@ def ddf_leq_witness(F: Ddf, G: Ddf) -> tuple[float, float]:
     Returns (gap, x).  gap <= 0 certifies F <= G on the probe set; a
     positive gap comes with the probe x where F(x) - G(x) is maximal.
     """
-    probes = comparison_probes(F, G)
-    xs = np.array(probes)
+    xs = _comparison_probes((F, G))
     gaps = F.eval_many(xs) - G.eval_many(xs)
     i = int(np.argmax(gaps))  # the first maximum, the smallest such probe
-    return float(gaps[i]), probes[i]
+    return float(gaps[i]), float(xs[i])
 
 
 def ddf_leq(F: Ddf, G: Ddf, atol: float = VALUE_TOL) -> bool:
@@ -283,6 +318,5 @@ def left_limit_of_infimum(family: Iterable[Ddf]) -> Ddf:
     fams = list(family)
     if not fams:
         raise InvalidArgumentError("family must be nonempty")
-    reps, probes = _cluster_probes(loc for F in fams for loc, _ in F.jumps)
-    xs = np.array(probes)
-    return _from_levels(reps, np.min([F.eval_many(xs) for F in fams], axis=0).tolist())
+    reps, xs = _cluster_probes(loc for F in fams for loc in F._locs.tolist())
+    return _from_levels(reps.tolist(), np.min([F.eval_many(xs) for F in fams], axis=0).tolist())

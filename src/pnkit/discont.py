@@ -236,8 +236,14 @@ class PiecewiseMap1D:
     def candidates(self, h: float) -> np.ndarray:
         """Search points, (n, 1) and ascending: the grid of step h, the
         breakpoints and the fixed points of the pieces."""
-        extras = np.array(self.breakpoints + self.piece_fixed_points(), dtype=float)
-        return np.unique(np.concatenate([grid_nodes(*self.domain, h), extras]))[:, None]
+        return self._candidates_on(grid_nodes(*self.domain, h))[:, None]
+
+    def _candidates_on(self, grid: np.ndarray) -> np.ndarray:
+        """`candidates` on a grid already built, flat: sorted, with the first
+        of each run of equal values kept (`np.unique`'s rule, without its
+        overhead)."""
+        xs = np.sort(np.concatenate([grid, self._breaks_np, self.piece_fixed_points()]))
+        return xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
 
     def lattice_images(self, h: float) -> tuple[np.ndarray, float]:
         """Images of the grid of step h, (n, 1), and its exact step."""
@@ -251,15 +257,12 @@ class PiecewiseMap1D:
         domain end, or within LIMIT_MERGE_TOL of the left one, is a copy of
         the other one."""
         xs = self._domain_xs(P)
-        lo, hi = self.domain
         # Piece k covers (.., breaks[k]] from the left, [breaks[k-1], ..) from the right.
         kl = np.searchsorted(self._breaks_np, xs, "left")
         kr = np.searchsorted(self._breaks_np, xs, "right")
-        left = self._slopes_np[kl] * xs + self._icepts_np[kl]
-        right = self._slopes_np[kr] * xs + self._icepts_np[kr]
-        left = np.where(xs > lo, left, right)
-        right = np.where((xs < hi) & (np.abs(right - left) > LIMIT_MERGE_TOL), right, left)
-        return np.stack([left, right])[None].T
+        return np.stack(_one_sided(xs, self._slopes_np[kl] * xs + self._icepts_np[kl],
+                                   self._slopes_np[kr] * xs + self._icepts_np[kr],
+                                   *self.domain))[None].T
 
     def sup_abs_on_interval(self, a, b) -> np.ndarray:
         """sup of |f| over each clipped interval [a, b], broadcast over `a`
@@ -311,6 +314,65 @@ class PiecewiseMap1D:
         pieces = tuple(converted(f"pieces[{k}]", _piece_from_json, entry)
                        for k, entry in enumerate(converted("pieces", list, obj["pieces"])))
         return cls(domain=converted("domain", lambda d: tuple(map(float, d)), dom), pieces=pieces)
+
+
+def _one_sided(xs, left, right, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The (left, right) limits at points xs of a map on [lo, hi], from
+    the values there of the pieces holding each point from the left and
+    from the right.  A limit missing at a domain end, or within
+    LIMIT_MERGE_TOL of the left one, is a copy of the other one."""
+    left = np.where(xs > lo, left, right)
+    return left, np.where((xs < hi) & (np.abs(right - left) > LIMIT_MERGE_TOL), right, left)
+
+
+def piecewise_triples(maps: Sequence[PiecewiseMap1D], cands: Sequence[np.ndarray]
+                      ) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, list[float]]:
+    """`eval_points` and `limit_values` of 1-d piecewise maps, each at its
+    own candidates (`_candidates_on`), in one pass over all of them.
+    Returns the candidates concatenated as (n, 1), the first row of each
+    map, the images (n, 1), the limit values (n, 2, 1), and each map's
+    largest gap |image - limit|, whose profile is its exact measure of
+    discontinuity (`discontinuity_exact`).
+
+    Every breakpoint is a candidate, so no search finds the piece of a
+    point: with the maps' pieces concatenated, each piece holds the rows
+    from its breakpoint's row (one past it where the piece before owns
+    it) up to the next piece's first row.  Away from the breakpoints
+    both limits are the image, so only the breakpoints' are computed."""
+    pieces = [p for m in maps for p in m.pieces]
+    starts: list[int] = []
+    rows: list[int] = []    # the row of each breakpoint
+    right: list[int] = []   # the piece right of it
+    begin: list[int] = []   # the first row of each piece
+    lo: list[float] = []    # the domain of the map of each breakpoint
+    hi: list[float] = []
+    n = 0
+    for m, x in zip(maps, cands):
+        at = (n + np.searchsorted(x, m._breaks_np)).tolist()
+        starts.append(n)
+        begin.append(n)
+        for k, r in enumerate(at, len(begin)):
+            begin.append(r + (pieces[k - 1].closed == "right"))
+            right.append(k)
+        rows += at
+        lo += [m.domain[0]] * len(at)
+        hi += [m.domain[1]] * len(at)
+        n += len(x)
+    slope, icept = np.array([(p.slope, p.intercept) for p in pieces]).T
+    runs = [b - a for a, b in zip(begin, begin[1:] + [n])]
+    xs = np.concatenate(cands)
+    images = np.repeat(slope, runs) * xs + np.repeat(icept, runs)
+    left = [k - 1 for k in right]
+    at = xs[rows]
+    sides = _one_sided(at, slope[left] * at + icept[left], slope[right] * at + icept[right],
+                       np.array(lo), np.array(hi))
+    limits = np.empty((2, n))
+    limits[:] = images
+    limits[0, rows], limits[1, rows] = sides
+    gaps = np.maximum(*(np.abs(images[rows] - side) for side in sides)).tolist()
+    ends = list(itertools.accumulate(len(m.pieces) - 1 for m in maps))
+    return (xs[:, None], starts, images[:, None], limits[None].T,
+            [max(gaps[a:b], default=0.0) for a, b in zip([0, *ends], ends)])
 
 
 def _piece_from_json(entry: dict) -> Piece:
@@ -454,20 +516,35 @@ def hull_distances(P, Q) -> np.ndarray:
 
 
 def nearest_to_hull(P, Q) -> tuple[int, float]:
-    """The first row of least `hull_distances(P, Q)`, and that distance.
+    """The first row of least `hull_distances(P, Q)`, and that distance:
+    `nearest_to_hulls` with one segment."""
+    return nearest_to_hulls(P, Q, [0])[0]
 
-    In 2-d only the rows that can be it are measured.  The distance L
+
+def nearest_to_hulls(P, Q, starts: Sequence[int]) -> list[tuple[int, float]]:
+    """Per segment of rows, segment k from row starts[k] up to the next
+    start, the first row of least `hull_distances(P, Q)` and that
+    distance.  In 1-d every row's distance comes from one pass; in 2-d
+    each segment is measured on its own, as `_nearest_planar` says."""
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    ends = [*starts[1:], len(P)]
+    if P.shape[-1] == 1:
+        dist = hull_distances(P, Q)
+        rows = [a + int(np.argmin(dist[a:b])) for a, b in zip(starts, ends)]
+        return list(zip(rows, dist[rows].tolist()))
+    return [(a + i, d) for a, b in zip(starts, ends)
+            for i, d in [_nearest_planar(P[a:b], Q[a:b])]]
+
+
+def _nearest_planar(P, Q) -> tuple[int, float]:
+    """The first row of least planar `hull_distances(P, Q)`, and that
+    distance, measuring only the rows that can be it.  The distance L
     from p to the bounding box of its row is a lower bound on its hull
     distance, and the least distance U from any p to a point of its own
     row bounds the winner's.  A row with L > U + HULL_PRUNE_SLACK * S,
     for S the largest coordinate size (at least 1), is farther than the
     winner whatever the rounding: it lies outside its bounding box, where
     no inside test holds.  The kept rows go through `hull_distances`."""
-    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    if P.shape[-1] == 1:
-        dist = hull_distances(P, Q)
-        i = int(np.argmin(dist))
-        return i, float(dist[i])
     x, y = Q.T
     px, py = P[:, 0], P[:, 1]
     box = _norms(np.maximum(np.maximum(0.0, x.min(axis=0) - px), px - x.max(axis=0)),
@@ -617,13 +694,15 @@ def discontinuity_exact(space: PnSpace, pw: PiecewiseMap1D) -> Ddf:
     Over the breakpoints (continuity points contribute the maximal
     element and drop out of the infimum), take the pointwise infimum of
     the norm profiles of f(b) minus each one-sided limit: the profile of
-    the largest gap, exactly, for any generator.
+    the largest gap, exactly, for any generator: `piecewise_triples`'
+    gap on the candidates of the grid of the domain ends alone, which
+    hold every breakpoint.  The verifier reads the same gap off its own
+    search grid.
     """
     if not _exact_route(space, pw):
         raise InvalidArgumentError("exact route needs a piecewise map in a 1-d space")
-    bs = pw._breaks_np[:, None]
-    gaps = np.abs(pw.eval_points(bs)[:, None, :] - pw.limit_values(bs))
-    return norm_profile(space, float(np.max(gaps, initial=0.0)))
+    [gap] = piecewise_triples([pw], [pw._candidates_on(np.array(pw.domain))])[-1]
+    return norm_profile(space, gap)
 
 
 @dataclass(frozen=True)
@@ -653,8 +732,7 @@ class DiscontinuityEstimate:
     levels: tuple[RefinementLevel, ...]
 
     def to_json_obj(self, t_grid: Sequence[float]) -> dict:
-        ts = _validate_ascending("t_grid", t_grid)
-        arr = np.array(ts, dtype=float)
+        ts, arr = _validate_ascending("t_grid", t_grid)
         vals = self.ddf.eval_many(arr).tolist()
         return {
             "ddf": self.ddf.to_json_obj(),
@@ -684,12 +762,13 @@ def _validate_descending(name: str, values: Iterable[float]) -> tuple[float, ...
     return vals
 
 
-def _validate_ascending(name: str, values: Iterable[float]) -> tuple[float, ...]:
-    """The t-grid rule: nonempty, positive, finite and strictly ascending."""
+def _validate_ascending(name: str, values: Iterable[float]) -> tuple[tuple[float, ...], np.ndarray]:
+    """The t-grid rule: nonempty, positive, finite and strictly ascending.
+    Returns the values as a tuple of floats and as an array."""
     vals, arr = _validate_positive(name, values)
     if not (arr[:-1] < arr[1:]).all():
         raise InvalidArgumentError(f"{name} must be strictly ascending")
-    return vals
+    return vals, arr
 
 
 def _largest_gaps(space: PnSpace, images: np.ndarray, step: float,

@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ddf import KNOT_MERGE_TOL, VALUE_TOL, Ddf, _cluster_representatives
+from .ddf import KNOT_MERGE_TOL, VALUE_TOL, Ddf, _cluster_representatives, head_probes
 from .errors import InvalidArgumentError
 
 # Largest number of input jump pairs tau_apply takes on; the pair sums
@@ -132,9 +132,6 @@ def dominance_rows(kind: TNormKind, F: tuple, G: tuple, H: tuple,
     row_of = starts // width
     past = starts + row_of  # a head's [row, j] in the padded tables
     inside = np.add.reduceat(flat < probes[cluster], starts, dtype=np.intp)
-    # A midpoint that overflows to +inf lies past every knot of its row.
-    valid = counts + H[0].shape[1]
-    inside = np.where(probes == np.inf, valid[row_of] + row_of * width - starts, inside)
     at_head, at_probe = ((f_past[j] - g_past[j]) for j in (past, past + inside))
     rows_at = np.flatnonzero(first)
     best = np.maximum.reduceat(np.maximum(at_head, at_probe), rows_at)
@@ -200,8 +197,8 @@ def _clusters(vals: np.ndarray) -> tuple[np.ndarray, ...]:
     """The clusters of each ascending row of `vals` by the `Ddf` rule (a
     value within KNOT_MERGE_TOL of its cluster's head joins it), on the
     row-major flattening: the index of each head, whether it starts its
-    row, the cluster of every entry, and each head's probe, the midpoint
-    to the next head of its row or one past the last (`_cluster_probes`).
+    row, the cluster of every entry, and each head's probe by
+    `head_probes`, towards the next head of its row or past the last.
     NaN pads at a row's end are no knots.
 
     A chained cluster starts wherever the step from the previous value
@@ -220,11 +217,8 @@ def _clusters(vals: np.ndarray) -> tuple[np.ndarray, ...]:
             head[k] = False
             head[k, np.searchsorted(row, _cluster_representatives(row.tolist()))] = True
         starts = np.flatnonzero(head)
-    heads = flat[starts]
     first = starts % width == 0
-    last = np.concatenate((first[1:], [True]))
-    with np.errstate(over="ignore"):
-        probes = np.where(last, heads + 1.0, (heads + np.concatenate((heads[1:], [0.0]))) / 2.0)
+    probes = head_probes(flat[starts], np.concatenate((first[1:], [True])))
     return starts, first, np.cumsum(head.ravel()) - 1, probes
 
 

@@ -447,7 +447,7 @@ class TestExitCodes:
         def boom(*args, **kwargs):
             raise TheoremViolationError("forced failure")
 
-        monkeypatch.setattr(cli_mod, "verify_approx_fixed_point", boom)
+        monkeypatch.setattr(cli_mod, "verify_batch", boom)
         path = write_config(tmp_path)
         assert main(["verify-t34", "--config", str(path)]) == 3
         assert "theorem violation" in capsys.readouterr().err

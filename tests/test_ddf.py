@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -157,10 +158,11 @@ class TestArrays:
             xs += [loc, float(np.nextafter(loc, 0.0)), max(loc - 1e-12, 0.0), loc + 1e-12]
         for x in xs:
             assert F.eval(x) == F.eval_many(np.array([x]))[0]
-        # At +inf eval reads 1 by convention, eval_many the finite mass:
-        # the two agree for a function of full mass.
-        assert F.eval(math.inf) == 1.0
-        assert F.eval_many(np.array([math.inf]))[0] == F.total_mass
+        # At +inf both read 1 by convention, whatever the finite mass; the
+        # float maximum still reads the finite mass below it.
+        assert F.eval(math.inf) == F.eval_many(np.array([math.inf]))[0] == 1.0
+        top = sys.float_info.max
+        assert F.eval(top) == F.eval_many(np.array([top]))[0] == F.total_mass
 
     def test_arrays_reject_writes(self):
         F = Ddf(((0.5, 0.5), (1.0, 0.5)))

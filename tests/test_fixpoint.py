@@ -1,6 +1,8 @@
 """Tests for the dominance and hull-containment searches."""
 
+import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnkit import (InvalidArgumentError, Piece, PiecewiseMap1D,
+from pnkit import (InvalidArgumentError, Piece, PiecewiseMap1D, PnkitError,
                    SampledMap, TheoremViolationError, constant_map, ddf_leq,
                    discontinuity_exact, discontinuity_measure, find_approx_fixed_point,
                    kakutani_search, make_epsilon, sibley_distance,
-                   verify_approx_fixed_point)
+                   verify_approx_fixed_point, verify_batch)
+from pnkit import discont, fixpoint
 from pnkit.cli import ScenarioFamily, generate_scenarios, load_config
 from pnkit.ddf import Ddf
-from pnkit.fixpoint import FixPointReport
+from pnkit.fixpoint import FixPointReport, KakutaniResult
 from pnkit.pn_space import PnSpace, vec_norm
 
 from helpers import (dominance_candidate_oracle, kakutani_loop_search, sampled_eval_oracle,
@@ -226,16 +229,25 @@ class TestOneTriple:
         h = m.grids((H,))[0]
         cands = m.candidates(h)
         calls = record_grid_calls(monkeypatch, type(m))
+        passes = []
+
+        def spy(maps, xs, _fn=fixpoint.piecewise_triples):
+            passes.append(np.concatenate(xs)[:, None])
+            return _fn(maps, xs)
+
+        monkeypatch.setattr(fixpoint, "piecewise_triples", spy)
         verify_approx_fixed_point(PnSpace(dimension=dim), m, grid_resolutions=(h,),
                                   t_grid=tuple(k / 256 for k in range(1, 257)))
-        assert calls["candidates"] == [h]
-        # Past the one grid call each, only the exact route's breakpoint calls.
-        breaks = np.array(getattr(m, "breakpoints", ()), dtype=float)[:, None]
-        for name in ("eval_points", "limit_values"):
-            grid = [P for P in calls[name] if np.array_equal(P, cands)]
-            rest = [P for P in calls[name] if not np.array_equal(P, cands)]
-            assert len(grid) == 1, name
-            assert [P.tolist() for P in rest] == ([breaks.tolist()] if dim == 1 else []), name
+        if dim == 1:
+            # One pass of the exact route builds the triple and the measure,
+            # on the grid alone: no map method evaluates the breakpoints apart.
+            assert calls == {"candidates": [], "eval_points": [], "limit_values": []}
+            assert [P.tolist() for P in passes] == [cands.tolist()]
+        else:
+            assert passes == []
+            assert calls["candidates"] == [h]
+            for name in ("eval_points", "limit_values"):
+                assert [P.tolist() for P in calls[name]] == [cands.tolist()], name
 
     def test_a_dominance_failure_raises_before_the_limit_values(self, monkeypatch):
         space, m = PnSpace(dimension=2), between_nodes_map()
@@ -382,3 +394,128 @@ class TestEndToEnd:
 
     def test_full_ring_contraction_keeps_the_chain(self):
         assert self._half_contraction(((1.0, 1.0),)).chain_holds
+
+
+DOMAINS = ((0.0, 1.0), (-2.0, 3.0), (0.5, 0.75))
+
+
+@st.composite
+def domain_maps(draw) -> PiecewiseMap1D:
+    """Constant and affine pieces, one to five, on one of DOMAINS, with
+    breakpoints on a 1/64 grid of the domain, all owned on one side."""
+    lo, hi = draw(st.sampled_from(DOMAINS))
+    cuts = draw(st.lists(st.integers(1, 63), max_size=4, unique=True))
+    edges = [lo, *(lo + (hi - lo) * c / 64 for c in sorted(cuts)), hi]
+    closed = draw(st.sampled_from(["left", "right"]))
+    value = st.floats(lo, hi)
+    pieces = []
+    for a, b in zip(edges, edges[1:]):
+        y0 = draw(value)
+        y1 = draw(value) if draw(st.booleans()) else y0
+        slope = (y1 - y0) / (b - a)
+        pieces.append(Piece(a, b, closed, slope, y0 - slope * a))
+    return PiecewiseMap1D(domain=(lo, hi), pieces=tuple(pieces))
+
+
+@st.composite
+def sampled_copies(draw) -> SampledMap:
+    """A drawn map known only on a 17-node lattice of its domain."""
+    m = draw(domain_maps())
+    lo, hi = m.domain
+    return SampledMap.from_function(lambda p: (m.eval(p[0]),), (m.domain,), (hi - lo) / 16)
+
+
+def outcome(call):
+    """What `call` returns or raises, and the warnings it gives (message,
+    category, file)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except PnkitError as exc:
+            out = (type(exc), str(exc), getattr(exc, "report", None))
+    return out, [(str(w.message), w.category, w.filename) for w in caught]
+
+
+def assert_batch_reads_as_the_loop(space, maps, **kwargs):
+    """`verify_batch` on `maps` returns or raises what one-map calls, in
+    order, return or raise, field for field, with the same warnings."""
+    want = outcome(lambda: [verify_approx_fixed_point(space, m, **kwargs) for m in maps])
+    got = outcome(lambda: verify_batch(space, maps, **kwargs))
+    assert got == want
+    assert all(filename == __file__ for *_, filename in got[1])
+    if isinstance(want[0], list):
+        assert [json.dumps(r.to_json_obj()) for r in got[0]] == \
+            [json.dumps(r.to_json_obj()) for r in want[0]]
+    return got[0]
+
+
+class TestBatch:
+    """`verify_batch` against `verify_approx_fixed_point` map by map."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(maps=st.lists(st.one_of(domain_maps(), domain_maps(), sampled_copies()),
+                         min_size=1, max_size=6),
+           gen=generators(), dim=st.sampled_from([1, 1, 1, 2]),
+           grids=st.sampled_from([(1 / 16,), (1 / 64,), (0.25, 1 / 32)]))
+    def test_mixed_batches_read_as_the_loop(self, maps, gen, dim, grids):
+        assert_batch_reads_as_the_loop(PnSpace(dimension=dim, generator=gen), maps,
+                                       grid_resolutions=grids,
+                                       t_grid=tuple(k / 32 for k in range(1, 33)))
+
+    def test_a_failing_third_sampled_map_raises_as_the_loop(self):
+        maps = [two_region_map(0, 21, "constant"), two_region_map(1, 21, "constant"),
+                between_nodes_map()]
+        (kind, _, report), caught = outcome(lambda: verify_batch(
+            PnSpace(dimension=2), maps, grid_resolutions=(0.05,)))
+        assert kind is TheoremViolationError and isinstance(report, FixPointReport)
+        assert caught  # the estimates' skipped levels, all three maps'
+        assert_batch_reads_as_the_loop(PnSpace(dimension=2), maps, grid_resolutions=(0.05,))
+
+    def test_batches_past_the_grid_budget_split_into_chunks(self, monkeypatch):
+        maps = generate_scenarios(ScenarioFamily(count=12, pieces=(1, 5), kind="affine"), 7)
+        space, kwargs = PnSpace(dimension=1), dict(grid_resolutions=(1 / 64,),
+                                                   t_grid=tuple(k / 16 for k in range(1, 17)))
+        want = verify_batch(space, maps, **kwargs)
+        monkeypatch.setattr(discont, "MAX_GRID_NODES", 200)
+        assert assert_batch_reads_as_the_loop(space, maps, **kwargs) == want
+        chunks = []
+
+        def spy(batch, cands, _fn=fixpoint.piecewise_triples):
+            chunks.append([len(x) for x in cands])
+            return _fn(batch, cands)
+
+        monkeypatch.setattr(fixpoint, "piecewise_triples", spy)
+        assert verify_batch(space, maps, **kwargs) == want
+        # Maps of 65 to 73 candidates, two or three to a chunk.
+        assert sum(map(len, chunks)) == 12 and {len(c) for c in chunks} <= {2, 3}
+        assert max(map(sum, chunks)) <= 200
+
+    def test_the_first_failing_map_raises_before_a_later_grid_is_built(self, monkeypatch):
+        # With no margin admitted every dominance search fails, so the loop
+        # stops at the first map, before the second map's grid, whose
+        # 10^10 nodes would be refused.
+        monkeypatch.setattr(fixpoint, "VALUE_TOL", -1.0)
+        maps = [jump_map(), constant_map((0.0, 1e7), 5.0)]
+        kind, *_ = assert_batch_reads_as_the_loop(PnSpace(dimension=1), maps,
+                                                  grid_resolutions=(H,))
+        assert kind is TheoremViolationError
+
+    def test_a_hull_failure_raises_in_map_order(self, monkeypatch):
+        # Every hull distance moved past the tolerance: the first map's
+        # hull error comes first, after its dominance search has passed.
+        def far_hulls(P, Q, starts, _fn=fixpoint.nearest_to_hulls):
+            return [(i, d + 1.0) for i, d in _fn(P, Q, starts)]
+
+        monkeypatch.setattr(fixpoint, "nearest_to_hulls", far_hulls)
+        maps = [jump_map(), flip_map()]
+        kind, _, report = assert_batch_reads_as_the_loop(PnSpace(dimension=1), maps,
+                                                         grid_resolutions=(H,))
+        assert kind is TheoremViolationError and isinstance(report, KakutaniResult)
+        assert report.point == (0.5,) and report.distance == 1.0
+
+    def test_the_exact_measure_is_the_one_on_the_search_grid(self, unit_space):
+        for m in (jump_map(), flip_map(), halving_map(), constant_map((-2.0, 3.0), 0.5)):
+            psi, estimate = discontinuity_measure(unit_space, m)
+            r = verify_approx_fixed_point(unit_space, m, t_grid=(0.5, 1.0))
+            assert estimate is None and psi == r.fixpoint.psi == discontinuity_exact(unit_space, m)

@@ -1,6 +1,7 @@
 """Tests for t-norms and the induced triangle functions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (brute_force_tau_curve, counting_tau, ddf_pointwise_max, dya
 from pnkit import (Ddf, InvalidArgumentError, TNormKind, check_tnorm_axioms,
                    ddf_leq, ddf_leq_witness, make_epsilon, sibley_distance, tau_apply,
                    tnorm_apply)
+from pnkit.ddf import _cluster_representatives, comparison_probes, head_probes
 from pnkit.tnorms import MAX_PAIR_SUMS, dominance_rows, tnorm_apply_np
 
 ALL_KINDS = (TNormKind.W, TNormKind.PROD, TNormKind.M)
@@ -197,14 +199,44 @@ class TestTauMatchesTheCountingRule:
 
 
 class TestDominanceRows:
-    def test_a_probe_at_infinity_reads_past_every_knot(self):
-        # The midpoint of 9e307 and 1e308 overflows to +inf, and 1e308 + 1
-        # rounds back to 1e308: only the +inf probe reads both totals.
+    def test_probes_near_the_float_maximum_read_past_their_knots(self):
+        # The midpoint of 9e307 and 1e308 would overflow, and 1e308 + 1
+        # rounds back to 1e308: the probes are 9.5e307 and the float after
+        # 1e308, and the second reads both totals.
         F, G, H = Ddf(((0.5, 0.25),)), make_epsilon(0.0), Ddf(((0.9e308, 0.5), (1.0e308, 0.5)))
         gaps, xs = dominance_rows(TNormKind.M, *((D._locs[None], D._cums[None]) for D in (F, G, H)),
                                   tau_below=False)
         want = ddf_leq_witness(H, tau_apply(TNormKind.M, F, G))
-        assert (float(gaps[0]), float(xs[0])) == want == (0.75, math.inf)
+        assert (float(gaps[0]), float(xs[0])) == want == (0.75, math.nextafter(1.0e308, math.inf))
+        assert comparison_probes(H) == [0.9e308, 0.95e308, 1.0e308, math.nextafter(1.0e308, math.inf)]
+
+
+class TestProbeRule:
+    """One probe rule for `ddf` and `tnorms`: between heads a and b,
+    (a + b) / 2 where finite, else a / 2 + b / 2; past the last head r,
+    r + 1.0 where it exceeds r, else the next float above r."""
+
+    def test_a_sum_past_two_to_the_53_keeps_its_jump(self):
+        # 1 + 1e16 rounds to 1e16, and 1e16 + 1.0 rounds back to 1e16.
+        assert tau_apply(TNormKind.M, Ddf(((1.0, 1.0),)), Ddf(((1e16, 1.0),))).jumps \
+            == ((1e16, 1.0),)
+
+    def test_the_identity_keeps_knots_whose_midpoint_overflows(self):
+        F = Ddf(((0.9e308, 0.5), (1.0e308, 0.5)))
+        assert tau_apply(TNormKind.M, F, make_epsilon(0.0)).jumps == F.jumps
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 4.0), st.floats(2.0 ** 52, 2.0 ** 54),
+                              st.floats(1e300, sys.float_info.max)), min_size=1, max_size=6))
+    def test_every_finite_probe_past_its_head_stays(self, knots):
+        heads = _cluster_representatives(sorted(knots))
+        probes = head_probes(np.array(heads), np.arange(len(heads)) == len(heads) - 1).tolist()
+        old = [(a + b) / 2.0 for a, b in zip(heads, heads[1:])] + [heads[-1] + 1.0]
+        for k, (head, probe, was) in enumerate(zip(heads, probes, old)):
+            assert head <= probe <= (heads + [math.inf])[k + 1]
+            assert math.isfinite(probe) or head == sys.float_info.max
+            if math.isfinite(was) and was > head:
+                assert probe == was
 
 
 class TestPairSumBudget:
